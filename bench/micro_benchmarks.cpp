@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks for the hot components: the
 // distributive optimization, CSE construction, bytecode interpretation,
-// SMILES canonicalization, BDF stepping, and LPT scheduling — plus the
+// SMILES canonicalization, BDF stepping, LPT scheduling and the sparse LU
+// of a stiff Newton iteration matrix (analysis, refactor, solve) — plus the
 // vm_dispatch suite comparing the seed switch interpreter against the
 // threaded/fused/compacted/batched execution engine. main() writes the
 // vm_dispatch results to BENCH_vm.json (override with --vm-json=PATH).
@@ -13,6 +14,8 @@
 #include "chem/canonical.hpp"
 #include "chem/smiles.hpp"
 #include "codegen/bytecode_emitter.hpp"
+#include "codegen/jacobian.hpp"
+#include "linalg/sparse.hpp"
 #include "models/test_cases.hpp"
 #include "opt/cse.hpp"
 #include "opt/distopt.hpp"
@@ -127,6 +130,89 @@ void BM_GearIntegrationStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GearIntegrationStep);
+
+/// Newton iteration matrix M = d0*I - J of TC3 at 5% scale (n = 1229) at its
+/// initial state, d0 = 100: the system the estimator factors hundreds of
+/// times per fit. Empty rows on a failed model build.
+const linalg::CsrMatrix& tc3_iteration_matrix() {
+  static const linalg::CsrMatrix m = [] {
+    linalg::CsrMatrix out;
+    auto built = models::build_test_case(models::scaled_config(3, 0.05));
+    if (!built.is_ok()) return out;
+    const std::size_t n = built->equation_count();
+    const std::vector<double> rates = built->rates.values();
+    const codegen::CompiledJacobian jac =
+        codegen::compile_jacobian(built->odes.table, n, rates.size());
+    linalg::CsrMatrix j;
+    codegen::SparseJacobianEvaluator(&jac, &rates)(
+        0.0, built->odes.init_concentrations.data(), j);
+    constexpr double kD0 = 100.0;
+    out.rows = out.cols = n;
+    out.row_offsets.push_back(0);
+    for (std::uint32_t r = 0; r < n; ++r) {
+      bool diagonal = false;
+      for (std::uint32_t e = j.row_offsets[r]; e < j.row_offsets[r + 1]; ++e) {
+        const std::uint32_t c = j.col_indices[e];
+        if (!diagonal && c >= r) {
+          out.col_indices.push_back(r);
+          out.values.push_back(kD0 - (c == r ? j.values[e] : 0.0));
+          diagonal = true;
+          if (c == r) continue;
+        }
+        out.col_indices.push_back(c);
+        out.values.push_back(-j.values[e]);
+      }
+      if (!diagonal) {
+        out.col_indices.push_back(r);
+        out.values.push_back(kD0);
+      }
+      out.row_offsets.push_back(static_cast<std::uint32_t>(out.values.size()));
+    }
+    return out;
+  }();
+  return m;
+}
+
+// Analysis + first numeric factor: what a new pattern costs once.
+void BM_SparseLuAnalyse(benchmark::State& state) {
+  const linalg::CsrMatrix& m = tc3_iteration_matrix();
+  for (auto _ : state) {
+    linalg::SparseLu lu;
+    benchmark::DoNotOptimize(lu.factor(m));
+  }
+  linalg::SparseLu lu;
+  (void)lu.factor(m);
+  state.counters["fill_ratio"] = static_cast<double>(lu.factor_nonzeros()) /
+                                 static_cast<double>(m.nonzero_count());
+}
+BENCHMARK(BM_SparseLuAnalyse)->Unit(benchmark::kMicrosecond);
+
+// Numeric refactor on the cached analysis: the per-step cost.
+void BM_SparseLuRefactor(benchmark::State& state) {
+  const linalg::CsrMatrix& m = tc3_iteration_matrix();
+  linalg::SparseLu lu;
+  (void)lu.factor(m);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.factor(m));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SparseLuRefactor)->Unit(benchmark::kMicrosecond);
+
+// Triangular solve: the per-Newton-iteration cost.
+void BM_SparseLuSolve(benchmark::State& state) {
+  const linalg::CsrMatrix& m = tc3_iteration_matrix();
+  linalg::SparseLu lu;
+  (void)lu.factor(m);
+  const linalg::Vector b(m.rows, 1.0);
+  linalg::Vector x(m.rows);
+  for (auto _ : state) {
+    lu.solve(b, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SparseLuSolve)->Unit(benchmark::kMicrosecond);
 
 void BM_LptSchedule(benchmark::State& state) {
   support::Xoshiro256 rng(3);

@@ -1,17 +1,28 @@
 // Sparse matrices (CSR) and sparse LU factorization.
 //
 // Chemistry Jacobians are very sparse — each species couples only to its
-// reaction partners — and the chemical compiler knows the exact pattern
-// (codegen::CompiledJacobian). SparseLu factors such matrices with the
-// classic left-looking column algorithm (Gilbert-Peierls): each column is
-// solved against the already-factored columns with a sparse triangular
-// solve whose reach is found by depth-first search, with partial pivoting.
-// Complexity is proportional to the flops of the factorization itself, not
-// to n^3, so stiff integration of 10^4-10^5-equation systems stays
-// feasible.
+// reaction partners — and a stiff solve factors the iteration matrix
+// M = d0*I - J hundreds of times with the same pattern and new values.
+// SparseLu therefore works in two phases, as KPP does for atmospheric
+// chemistry (Damian, Sandu et al., Comput. Chem. Eng. 2002):
+//
+//  - Symbolic (once per sparsity pattern): a greedy minimum-degree symmetric
+//    ordering of pattern(A + A^T) and the exact L/U patterns for diagonal
+//    pivots in that order. The analysis is immutable and shared by every
+//    copy of the factorization (the solver's FactorCache entries included),
+//    so a copy carries only flat value arrays.
+//  - Numeric (every factor() call): a left-looking refactor into the fixed
+//    patterns with no search and no allocation. A pivot that is zero,
+//    non-finite or below a tenth of its column's largest candidate sends
+//    the call to a threshold-partial-pivoting Gilbert-Peierls factor of the
+//    same column-permuted matrix, which picks its own rows and patterns.
+//
+// Each factor() is a pure function of the matrix it is given: the analysis
+// depends only on the pattern and no pivot choice outlives the call.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -37,34 +48,41 @@ struct CsrMatrix {
   [[nodiscard]] Matrix to_dense() const;
 };
 
-/// Sparse LU with partial pivoting (left-looking, Gilbert-Peierls).
+/// Sparse LU with a cached fill-reducing analysis (see the file comment).
 /// factor() may be called repeatedly with matrices of the same or different
-/// patterns; internal workspaces are reused.
+/// patterns; a new pattern is re-analysed. Copies share the analysis and are
+/// independent otherwise: refactoring one never changes another's factors.
 class SparseLu {
  public:
-  /// Factors A (CSR). Returns false when numerically singular.
+  /// Factors A (CSR, square). Returns false when numerically singular.
   bool factor(const CsrMatrix& a);
 
-  /// Solves A x = b using the factors. factor() must have succeeded.
+  /// Solves A x = b using the factors. factor() must have succeeded, and b
+  /// and x must be distinct vectors. x is resized to the dimension (no
+  /// allocation when it already has that size).
   void solve(const Vector& b, Vector& x) const;
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t dimension() const { return n_; }
-  /// Fill-in diagnostic: nonzeros in L + U.
+  /// Fill-in diagnostic: stored entries of L + U, diagonal included.
   [[nodiscard]] std::size_t factor_nonzeros() const;
 
  private:
-  // Column-compressed L and U (unit-diagonal L implicit).
-  struct SparseColumn {
-    std::vector<std::uint32_t> indices;
-    std::vector<double> values;
-  };
+  /// Immutable per-pattern analysis (defined in sparse.cpp).
+  struct Symbolic;
+  /// Immutable L/U structure a solve walks (defined in sparse.cpp).
+  struct Structure;
+
+  /// Threshold-partial-pivoting factor of the column-permuted matrix; used
+  /// when the fixed diagonal pivot sequence meets a small pivot.
+  bool factor_with_pivoting(const CsrMatrix& a);
 
   std::size_t n_ = 0;
-  std::vector<SparseColumn> lower_;  ///< L columns (rows > pivot, permuted)
-  std::vector<SparseColumn> upper_;  ///< U columns (rows <= pivot, permuted)
-  std::vector<double> diagonal_;     ///< U diagonal
-  std::vector<std::uint32_t> row_permutation_;  ///< original row -> pivot row
+  std::shared_ptr<const Symbolic> symbolic_;    ///< analysis of the pattern
+  std::shared_ptr<const Structure> structure_;  ///< structure of the factors
+  std::vector<double> lower_;  ///< L below the diagonal, by column
+  std::vector<double> upper_;  ///< D^-1 U above the diagonal, by column
+  std::vector<double> inverse_pivot_;  ///< 1 / U diagonal, by slot
   bool ok_ = false;
 };
 

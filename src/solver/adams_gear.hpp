@@ -57,8 +57,11 @@ struct WarmStartProfile {
 /// A later solve of a nearby trajectory (same data file, rate constants
 /// perturbed at finite-difference magnitude) reuses the factors directly —
 /// the modified Newton corrector tolerates both the stale Jacobian and a
-/// bounded d0 mismatch — trading a few extra Newton iterations for the
-/// dominant sparse-LU factorization cost.
+/// bounded d0 mismatch — trading a few extra Newton iterations for
+/// refactorizations. An entry is a copy of the solver's SparseLu: it shares
+/// the pattern analysis and owns only the factor values. The cache also
+/// keeps FD column solves on the base solve's factors, which the fit's
+/// accuracy depends on (docs/estimator.md).
 struct FactorCache {
   struct Entry {
     double d0 = 0.0;

@@ -3,8 +3,10 @@
 // Fornberg weight generator they are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "solver/adams_gear.hpp"
 #include "solver/fornberg.hpp"
@@ -355,6 +357,126 @@ TEST(AdamsGear, FactorCacheReuseCutsFactorizations) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_NEAR(y_warm[i], y_cold[i], 1e-5) << "component " << i;
   }
+}
+
+/// A small vulcanization-like mechanism: a sulfur pool S (species 0) adds
+/// to polysulfide chains A_1..A_m (species 1..m) in fast reversible steps
+/// A_i + S <-> A_{i+1}, and the longest chain crosslinks slowly (A_m -> X,
+/// species m + 1). S couples to every chain species, as the sulfur and
+/// accelerator species of the paper's models do, so the sparse LU's
+/// fill-reducing order is far from the natural one. The analytic Jacobian
+/// is offered both dense and on a fixed CSR pattern.
+OdeSystem sulfur_chain(std::size_t m) {
+  constexpr double kForward = 1.0e4;
+  constexpr double kReverse = 10.0;
+  constexpr double kCrosslink = 1.0;
+  const std::size_t n = m + 2;
+  // Fills the dense Jacobian at y, or with `structure` set marks every
+  // entry some reaction contributes to with 1 (values can cancel).
+  auto dense_jacobian = [m, n](const double* y, double* jac, bool structure) {
+    std::fill(jac, jac + n * n, 0.0);
+    auto add = [&](std::size_t row, std::size_t col, double v) {
+      jac[row * n + col] = structure ? 1.0 : jac[row * n + col] + v;
+    };
+    for (std::size_t i = 1; i < m; ++i) {
+      // A_i + S -> A_{i+1}: rate kForward * A_i * S.
+      for (const auto& [row, sign] : {std::pair<std::size_t, double>{i, -1.0},
+                                      {0, -1.0},
+                                      {i + 1, 1.0}}) {
+        add(row, i, sign * kForward * y[0]);
+        add(row, 0, sign * kForward * y[i]);
+      }
+      // A_{i+1} -> A_i + S: rate kReverse * A_{i+1}.
+      for (const auto& [row, sign] : {std::pair<std::size_t, double>{i + 1, -1.0},
+                                      {i, 1.0},
+                                      {0, 1.0}}) {
+        add(row, i + 1, sign * kReverse);
+      }
+    }
+    add(m, m, -kCrosslink);
+    add(m + 1, m, kCrosslink);
+  };
+
+  OdeSystem system;
+  system.dimension = n;
+  system.rhs = [m](double, const double* y, double* ydot) {
+    std::fill(ydot, ydot + m + 2, 0.0);
+    for (std::size_t i = 1; i < m; ++i) {
+      const double rate = kForward * y[i] * y[0] - kReverse * y[i + 1];
+      ydot[i] -= rate;
+      ydot[0] -= rate;
+      ydot[i + 1] += rate;
+    }
+    ydot[m] -= kCrosslink * y[m];
+    ydot[m + 1] += kCrosslink * y[m];
+  };
+  system.jacobian = [dense_jacobian](double, const double* y, double* jac) {
+    dense_jacobian(y, jac, false);
+  };
+  std::vector<double> pattern(n * n);
+  const std::vector<double> ones(n, 1.0);
+  dense_jacobian(ones.data(), pattern.data(), true);
+  system.sparse_jacobian = [dense_jacobian, pattern, n](
+                               double, const double* y,
+                               linalg::CsrMatrix& out) {
+    std::vector<double> values(n * n);
+    dense_jacobian(y, values.data(), false);
+    out.rows = out.cols = n;
+    out.row_offsets.assign(1, 0);
+    out.col_indices.clear();
+    out.values.clear();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        if (pattern[r * n + c] == 0.0) continue;
+        out.col_indices.push_back(static_cast<std::uint32_t>(c));
+        out.values.push_back(values[r * n + c]);
+      }
+      out.row_offsets.push_back(
+          static_cast<std::uint32_t>(out.col_indices.size()));
+    }
+  };
+  return system;
+}
+
+TEST(AdamsGear, SparseLuTrajectoryMatchesDenseLu) {
+  // Differential oracle for the sparse LU inside the integrator: the same
+  // analytic Jacobian factored by the reordered sparse LU and by dense LU.
+  // Rounding differs, so step sequences may part; both runs are within the
+  // global error of the true solution, a small multiple of the local
+  // tolerance rtol * |y| + atol.
+  const std::size_t m = 40;
+  IntegrationOptions options;
+  options.relative_tolerance = 1e-6;
+  options.absolute_tolerance = 1e-9;
+  std::vector<double> y0(m + 2, 0.0);
+  y0[0] = 2.0;
+  y0[1] = 1.0;
+
+  std::vector<double> finals[2];
+  IntegrationStats stats[2];
+  const NewtonLinearSolver lanes[2] = {NewtonLinearSolver::kDenseLu,
+                                       NewtonLinearSolver::kSparseLu};
+  for (int lane = 0; lane < 2; ++lane) {
+    options.newton_linear_solver = lanes[lane];
+    AdamsGear solver(sulfur_chain(m), options);
+    ASSERT_TRUE(solver.initialize(0.0, y0).is_ok());
+    const auto status = solver.advance_to(20.0, finals[lane]);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    stats[lane] = solver.stats();
+  }
+  EXPECT_GT(stats[1].factorizations, 0u);
+  EXPECT_EQ(stats[1].jacobian_evaluations, stats[0].jacobian_evaluations);
+  double sulfur_mass = 0.0;
+  for (std::size_t i = 0; i < m + 2; ++i) {
+    const double bound = 10.0 * (options.relative_tolerance *
+                                     std::fabs(finals[0][i]) +
+                                 options.absolute_tolerance);
+    EXPECT_NEAR(finals[1][i], finals[0][i], bound) << "species " << i;
+    // Sulfur atoms: S counts 1, A_i carries i - 1, X carries m - 1.
+    const double atoms = i == 0 ? 1.0 : static_cast<double>(std::min(i, m) - 1);
+    sulfur_mass += atoms * finals[1][i];
+  }
+  EXPECT_NEAR(sulfur_mass, y0[0], 10.0 * options.relative_tolerance * y0[0]);
 }
 
 // Property sweep: for both solvers, tightening the tolerance by 100x per
