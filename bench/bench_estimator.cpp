@@ -31,22 +31,22 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "codegen/jacobian.hpp"
 #include "data/synthetic.hpp"
 #include "estimator/estimator.hpp"
 #include "estimator/objective.hpp"
 #include "models/test_cases.hpp"
 #include "nlopt/levmar.hpp"
+#include "rms/execution.hpp"
 #include "support/timer.hpp"
-#include "vm/interpreter.hpp"
 
 namespace {
 
 using namespace rms;
 
+/// Filled in place by build_problem: `exec` points into `model`.
 struct Problem {
   models::BuiltModel model;
-  codegen::CompiledJacobian jacobian;
+  Execution exec;
   data::Observable observable;
   std::vector<estimator::Experiment> experiments;
   std::vector<std::uint32_t> slots;
@@ -56,27 +56,25 @@ struct Problem {
   linalg::Vector upper;
 };
 
-Problem build_problem(double scale, int files, std::size_t records) {
+void build_problem(Problem& p, double scale, int files, std::size_t records) {
   auto built = models::build_test_case(models::scaled_config(3, scale));
   if (!built.is_ok()) {
     std::fprintf(stderr, "model build failed: %s\n",
                  built.status().to_string().c_str());
     std::exit(1);
   }
-  Problem p;
   p.model = std::move(built).value();
-  const std::size_t n = p.model.equation_count();
+  // The VM with its compiled Jacobian: the data do not depend on the host's
+  // C compiler, and every solve (synthesis and fit) uses sparse Newton.
+  ExecutionOptions execution;
+  execution.backend = Backend::kVm;
+  p.exec = Execution::create(p.model, execution);
   const std::size_t rate_count = p.model.rates.size();
-  p.jacobian = codegen::compile_jacobian(p.model.odes.table, n, rate_count);
   p.observable.weighted_species = {{0, 1.0}};
   p.base_rates = p.model.rates.values();
   for (std::uint32_t s = 0; s < rate_count; ++s) p.slots.push_back(s);
 
-  const vm::Interpreter interp(p.model.program_optimized);
-  const std::vector<double>& k = p.base_rates;
-  solver::OdeSystem truth{n, [&](double t, const double* y, double* ydot) {
-                            interp.run(t, y, k.data(), ydot);
-                          }};
+  const solver::OdeSystem truth = p.exec.make_system(&p.base_rates);
   for (int file = 0; file < files; ++file) {
     estimator::Experiment e;
     e.initial_state = p.model.odes.init_concentrations;
@@ -84,6 +82,8 @@ Problem build_problem(double scale, int files, std::size_t records) {
     // record counts give the §4.4 scheduler real imbalance to chew on.
     for (double& c : e.initial_state) c *= 0.7 + 0.1 * (file % 4);
     data::SyntheticOptions synth;
+    synth.integration.newton_linear_solver =
+        solver::NewtonLinearSolver::kSparseLu;
     synth.t_end = 2.0;
     synth.record_count = records * (1 + file % 3);
     auto data = data::synthesize_experiment(truth, e.initial_state,
@@ -103,7 +103,6 @@ Problem build_problem(double scale, int files, std::size_t records) {
   p.lower.assign(p.base_rates.size(), 0.0);
   p.upper = p.x0;
   for (double& v : p.upper) v = 10.0 * v + 1.0;
-  return p;
 }
 
 struct RunResult {
@@ -126,7 +125,7 @@ nlopt::LevMarOptions lm_options(std::size_t max_iters) {
 /// evaluate()), sequential objective, cold solves.
 RunResult run_serial(const Problem& p, std::size_t max_iters) {
   estimator::ObjectiveOptions options;
-  options.compiled_jacobian = &p.jacobian;
+  options.compiled_jacobian = p.exec.compiled_jacobian();
   estimator::ObjectiveFunction objective(p.model.program_optimized,
                                          p.observable, p.experiments, p.slots,
                                          p.base_rates, options);
@@ -156,7 +155,7 @@ RunResult run_serial(const Problem& p, std::size_t max_iters) {
 RunResult run_pooled(const Problem& p, int workers, bool warm,
                      std::size_t max_iters) {
   estimator::ObjectiveOptions options;
-  options.compiled_jacobian = &p.jacobian;
+  options.compiled_jacobian = p.exec.compiled_jacobian();
   options.pool_workers = workers;
   options.warm_start = warm;
   options.dynamic_load_balancing = true;
@@ -237,7 +236,10 @@ int main(int argc, char** argv) {
       "workers=%d max-iters=%zu\n\n",
       scale, files, records, workers, max_iters);
 
-  const Problem problem = build_problem(scale, files, records);
+  support::WallTimer setup_timer;
+  Problem problem;
+  build_problem(problem, scale, files, records);
+  const double setup_seconds = setup_timer.seconds();
   const std::size_t residual_count = [&] {
     std::size_t m = 0;
     for (const auto& e : problem.experiments) m += e.data.record_count();
@@ -246,6 +248,8 @@ int main(int argc, char** argv) {
   std::printf("model: %zu equations, %zu rate constants, %zu residuals\n",
               problem.model.equation_count(), problem.base_rates.size(),
               residual_count);
+  std::printf("setup (model build + data synthesis): %.3f s\n",
+              setup_seconds);
 
   const RunResult serial = run_serial(problem, max_iters);
   const RunResult pooled = run_pooled(problem, workers, false, max_iters);
@@ -308,6 +312,7 @@ int main(int argc, char** argv) {
   root.add("files", static_cast<std::size_t>(files));
   root.add("workers", static_cast<std::size_t>(workers));
   root.add("max_iterations", max_iters);
+  root.add("setup_seconds", setup_seconds);
   root.add_raw("runs",
                bench::json_array({run_json("serial", serial),
                                   run_json("pooled", pooled),

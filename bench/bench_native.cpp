@@ -31,11 +31,11 @@
 #include <unistd.h>
 
 #include "bench_util.hpp"
-#include "codegen/jacobian.hpp"
 #include "codegen/native_backend.hpp"
 #include "data/synthetic.hpp"
 #include "estimator/objective.hpp"
 #include "models/test_cases.hpp"
+#include "rms/execution.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
 #include "vm/interpreter.hpp"
@@ -176,20 +176,21 @@ EstimatorResult bench_estimator(double scale, int repeats) {
     std::fprintf(stderr, "estimator model build failed\n");
     std::exit(1);
   }
-  const std::size_t n = built->equation_count();
   const std::size_t rate_count = built->rates.size();
 
   const std::string cache_dir = make_cache_dir();
-  codegen::NativeBackendOptions options;
-  options.cache_dir = cache_dir;
-  auto native = codegen::NativeBackend::create(
-      built->optimized, &built->odes.table, n, rate_count, options);
-  if (!native.is_ok()) {
-    std::fprintf(stderr, "estimator native compile failed\n");
+  ExecutionOptions native_execution;
+  native_execution.backend = Backend::kNative;
+  native_execution.native.cache_dir = cache_dir;
+  const Execution native = Execution::create(*built, native_execution);
+  if (native.backend() != Backend::kNative) {
+    std::fprintf(stderr, "estimator native compile failed: %s\n",
+                 native.fallback_reason().c_str());
     std::exit(1);
   }
-  const codegen::CompiledJacobian jac_vm = codegen::compile_jacobian(
-      built->odes.table, n, rate_count);
+  ExecutionOptions vm_execution;
+  vm_execution.backend = Backend::kVm;
+  const Execution vm = Execution::create(*built, vm_execution);
 
   data::Observable observable;
   observable.weighted_species = {{0, 1.0}};
@@ -197,11 +198,11 @@ EstimatorResult bench_estimator(double scale, int repeats) {
   std::vector<std::uint32_t> slots;
   for (std::uint32_t s = 0; s < rate_count; ++s) slots.push_back(s);
 
-  const vm::Interpreter interp(built->program_optimized);
-  solver::OdeSystem truth{n, [&](double t, const double* y, double* ydot) {
-                            interp.run(t, y, base_rates.data(), ydot);
-                          }};
+  // The data come from the VM, so they do not depend on the host's cc.
+  const solver::OdeSystem truth = vm.make_system(&base_rates);
   data::SyntheticOptions synth;
+  synth.integration.newton_linear_solver =
+      solver::NewtonLinearSolver::kSparseLu;
   synth.t_end = 2.0;
   synth.record_count = 24;
   std::vector<estimator::Experiment> experiments;
@@ -243,10 +244,10 @@ EstimatorResult bench_estimator(double scale, int repeats) {
   };
 
   estimator::ObjectiveOptions vm_options;
-  vm_options.compiled_jacobian = &jac_vm;
+  vm_options.compiled_jacobian = vm.compiled_jacobian();
   result.vm_seconds = time_objective(vm_options);
   estimator::ObjectiveOptions native_options;
-  native_options.native_backend = native->get();
+  native_options.native_backend = native.native();
   result.native_seconds = time_objective(native_options);
 
   remove_dir(cache_dir);

@@ -11,9 +11,8 @@
 // replayed on a virtual-time cluster (SimCluster):
 //   - without dynamic load balancing: the Fig. 9 block distribution;
 //   - with dynamic load balancing: LPT on the recorded times (§4.4).
-// The MiniMpi threaded code path (rank-parallel objective + Allreduce) is
-// exercised once to validate that the parallel execution produces the same
-// residuals as the sequential one.
+// The objective's worker pool (4 workers) is exercised once to validate
+// that the parallel execution produces exactly the sequential residuals.
 //
 // Flags:
 //   --scale=F      model scale (default 0.004 of TC5, ~1000 equations:
@@ -28,12 +27,11 @@
 
 #include "bench_util.hpp"
 #include "data/synthetic.hpp"
-#include "codegen/jacobian.hpp"
 #include "estimator/objective.hpp"
 #include "models/test_cases.hpp"
 #include "parallel/sim_cluster.hpp"
+#include "rms/execution.hpp"
 #include "support/rng.hpp"
-#include "vm/interpreter.hpp"
 
 namespace {
 
@@ -70,27 +68,20 @@ int main(int argc, char** argv) {
   }
 
   // The compiler-generated analytic Jacobian accelerates both the data
-  // synthesis and every objective solve.
-  codegen::CompiledJacobian compiled_jacobian;
+  // synthesis and every objective solve. The VM keeps the measured solve
+  // times independent of the host's C compiler.
+  ExecutionOptions execution_options;
+  execution_options.backend = Backend::kVm;
+  execution_options.with_jacobian = use_sparse;
+  const Execution exec = Execution::create(*built, execution_options);
   estimator::ObjectiveOptions objective_options;
+  objective_options.compiled_jacobian = exec.compiled_jacobian();
   const std::vector<double> true_rates = built->rates.values();
-  if (use_sparse) {
-    compiled_jacobian = codegen::compile_jacobian(
-        built->odes.table, built->equation_count(), built->rates.size());
-    objective_options.compiled_jacobian = &compiled_jacobian;
-  }
 
   // Synthesize the data files: formulations differ in initial
   // concentrations AND record counts, so solve costs differ across files
   // (the imbalance the paper attributes its sub-linear 16-node speedup to).
-  vm::Interpreter interp(built->program_optimized);
-  solver::OdeSystem system{n, [&](double t, const double* y, double* ydot) {
-                             interp.run(t, y, true_rates.data(), ydot);
-                           }};
-  if (use_sparse) {
-    system.sparse_jacobian =
-        codegen::SparseJacobianEvaluator(&compiled_jacobian, &true_rates);
-  }
+  const solver::OdeSystem system = exec.make_system(&true_rates);
   support::Xoshiro256 rng(2026);
   std::vector<estimator::Experiment> experiments;
   for (int f = 0; f < n_files; ++f) {
@@ -144,10 +135,11 @@ int main(int argc, char** argv) {
   for (double t : file_times) std::printf(" %.3f", t);
   std::printf("\n  serial total: %.3f s\n\n", serial);
 
-  // Validate the MiniMpi threaded path once (same residuals as sequential).
+  // Validate the worker pool once: residuals are bit-identical to the
+  // sequential evaluation for any worker count.
   {
     estimator::ObjectiveOptions par = objective_options;
-    par.ranks = 4;
+    par.pool_workers = 4;
     estimator::ObjectiveFunction parallel_objective(
         built->program_optimized, observable, experiments, slots, true_rates,
         par);
@@ -160,8 +152,8 @@ int main(int argc, char** argv) {
                             std::fabs(residuals[i] - parallel_residuals[i]));
       }
     }
-    std::printf("MiniMpi validation (4 ranks, Fig. 9 path): %s, max residual "
-                "difference vs sequential = %.2e\n\n",
+    std::printf("Pool validation (4 workers): %s, max residual difference "
+                "vs sequential = %.2e\n\n",
                 s.is_ok() ? "ok" : s.to_string().c_str(), max_diff);
   }
 

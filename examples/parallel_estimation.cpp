@@ -1,8 +1,8 @@
 // Parallel objective evaluation (paper §4.4, Fig. 9) demonstrated on the
-// MiniMpi runtime: 16 experimental data files distributed over ranks, the
-// per-file solve times recorded, and the dynamic load balancer rebuilding
-// the schedule for the next call. Ends with the virtual-cluster speedup
-// table for the measured times.
+// objective's persistent worker pool: 16 experimental data files planned
+// over 4 workers, the per-file solve times recorded, and the dynamic load
+// balancer rebuilding the plan for the next call. Ends with the
+// virtual-cluster speedup table for the measured times.
 //
 // Run: ./build/examples/parallel_estimation
 #include <cstdio>
@@ -65,11 +65,11 @@ int main() {
   for (std::uint32_t s = 0; s < built->rates.size(); ++s) slots.push_back(s);
   linalg::Vector x(rates.begin(), rates.end());
 
-  // Two objective calls on 4 MiniMpi ranks with dynamic load balancing:
-  // call 1 uses the block schedule, call 2 the LPT schedule built from the
+  // Two objective calls on 4 pool workers with dynamic load balancing:
+  // call 1 plans the block schedule, call 2 the LPT schedule built from the
   // times call 1 recorded.
   estimator::ObjectiveOptions options;
-  options.ranks = 4;
+  options.pool_workers = 4;
   options.dynamic_load_balancing = true;
   estimator::ObjectiveFunction objective(built->program_optimized, observable,
                                          experiments, slots, rates, options);
@@ -99,13 +99,11 @@ int main() {
                 cluster.run_lpt(times, nodes).speedup);
   }
 
-  // The same files through the throughput path: a persistent 4-worker pool
-  // with warm-started solves. The second call reuses the first call's
-  // per-file step/order profiles, and the aggregated Adams-Gear statistics
-  // make the savings visible (see docs/estimator.md).
+  // The same files with warm-started solves on the same 4-worker pool. The
+  // second call reuses the first call's per-file step/order profiles, and
+  // the aggregated Adams-Gear statistics make the savings visible (see
+  // docs/estimator.md).
   estimator::ObjectiveOptions pooled_options = options;
-  pooled_options.ranks = 1;
-  pooled_options.pool_workers = 4;
   pooled_options.warm_start = true;
   estimator::ObjectiveFunction pooled(built->program_optimized, observable,
                                       experiments, slots, rates,

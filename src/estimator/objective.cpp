@@ -4,7 +4,7 @@
 #include <mutex>
 #include <numeric>
 
-#include "parallel/minimpi.hpp"
+#include "codegen/ode_system.hpp"
 #include "parallel/schedule.hpp"
 #include "support/assert.hpp"
 #include "support/strings.hpp"
@@ -15,16 +15,28 @@ namespace rms::estimator {
 
 using support::Status;
 
+namespace {
+
+/// The lowest-index failure among per-task statuses: which error is
+/// reported never depends on which worker finished first.
+Status first_failure(const std::vector<Status>& statuses) {
+  for (const Status& status : statuses) {
+    if (!status.is_ok()) return status;
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
 /// Everything one in-flight solve needs, reusable across solves: the rate
-/// buffer the ODE closures read through a stable pointer, the VM's batch
-/// registers, the solver (its history, Newton and Jacobian workspaces
-/// persist across initialize() calls), and the interpolation output. A
-/// scratch is checked out of a freelist per task; which scratch a task gets
-/// never affects results because initialize() resets all result-bearing
-/// solver state.
+/// buffer the ODE closures read through a stable pointer, the solver (its
+/// system with the VM's batch registers, its history, Newton and Jacobian
+/// workspaces persist across initialize() calls), and the interpolation
+/// output. A scratch is checked out of a freelist per task; which scratch a
+/// task gets never affects results because initialize() resets all
+/// result-bearing solver state.
 struct ObjectiveFunction::SolveScratch {
   std::vector<double> rates;
-  vm::Scratch batch_scratch;
   std::unique_ptr<solver::AdamsGear> integrator;
   std::vector<double> y;
 };
@@ -36,7 +48,6 @@ ObjectiveFunction::ObjectiveFunction(const vm::Program& program,
                                      std::vector<double> base_rates,
                                      ObjectiveOptions options)
     : program_(&program),
-      interpreter_(program),
       observable_(std::move(observable)),
       experiments_(std::move(experiments)),
       estimated_slots_(std::move(estimated_slots)),
@@ -110,58 +121,16 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
   if (scratch.integrator == nullptr) {
     // The ODE closures read the scratch's rate buffer through a pointer, so
     // the system (and the solver holding it) is built once per scratch and
-    // reused for every file and parameter vector. The interpreter is shared
-    // across threads (run() is const; registers live in per-scratch state);
-    // the native backend is stateless outright.
-    const vm::Interpreter* interpreter = &interpreter_;
-    const codegen::NativeBackend* native = options_.native_backend;
-    std::vector<double>* rates = &scratch.rates;
-    vm::Scratch* batch = &scratch.batch_scratch;
-    solver::OdeSystem system;
-    system.dimension = program_->species_count;
-    if (native != nullptr) {
-      system.rhs = [native, rates](double t, const double* y, double* ydot) {
-        native->rhs(t, y, rates->data(), ydot);
-      };
-      if (native->has_batch()) {
-        system.rhs_batch = [native, rates](double t, const double* ys,
-                                           double* ydots, std::size_t count) {
-          native->rhs_batch(t, ys, rates->data(), ydots, count);
-        };
-      }
-    } else {
-      system.rhs = [interpreter, rates](double t, const double* y,
-                                        double* ydot) {
-        interpreter->run(t, y, rates->data(), ydot);
-      };
-      // Batched RHS: the solver's finite-difference Jacobian evaluates
-      // chunks of perturbed states in one pass over the tape.
-      system.rhs_batch = [interpreter, rates, batch](double t,
-                                                     const double* ys,
-                                                     double* ydots,
-                                                     std::size_t count) {
-        interpreter->run_batch_shared_k(t, ys, rates->data(), ydots, count,
-                                        *batch);
-      };
-    }
+    // reused for every file and parameter vector.
+    solver::OdeSystem system = codegen::make_ode_system(
+        *program_, options_.native_backend, options_.compiled_jacobian,
+        &scratch.rates);
     solver::IntegrationOptions integration = options_.integration;
-    if (native != nullptr && native->has_jacobian()) {
-      system.sparse_jacobian = [native, rates](double t, const double* y,
-                                               linalg::CsrMatrix& out) {
-        out.rows = out.cols = native->dimension();
-        out.row_offsets = native->jacobian_row_offsets();
-        out.col_indices = native->jacobian_col_indices();
-        out.values.resize(out.col_indices.size());
-        native->jacobian_values(t, y, rates->data(), out.values.data());
-      };
-      integration.newton_linear_solver = solver::NewtonLinearSolver::kSparseLu;
-    } else if (options_.compiled_jacobian != nullptr) {
-      system.sparse_jacobian =
-          codegen::SparseJacobianEvaluator(options_.compiled_jacobian, rates);
+    if (system.sparse_jacobian) {
       integration.newton_linear_solver = solver::NewtonLinearSolver::kSparseLu;
     }
     scratch.integrator =
-        std::make_unique<solver::AdamsGear>(system, integration);
+        std::make_unique<solver::AdamsGear>(std::move(system), integration);
   }
 
   solver::AdamsGear& integrator = *scratch.integrator;
@@ -189,6 +158,12 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
   }
   stats = integrator.stats();
   solve_seconds = timer.seconds();
+  if (!status.is_ok()) {
+    return Status(status.code(),
+                  support::str_format("file %zu (%s): %s", file_index,
+                                      experiment.data.name.c_str(),
+                                      status.message().c_str()));
+  }
   return status;
 }
 
@@ -247,139 +222,75 @@ Status ObjectiveFunction::evaluate(const linalg::Vector& x,
   rates_for(x, rates);
 
   const std::size_t files = experiments_.size();
-  const std::size_t m = residual_size();
-  const int ranks = std::max(options_.ranks, 1);
   const bool have_times =
       !file_times_.empty() &&
       *std::max_element(file_times_.begin(), file_times_.end()) > 0.0;
 
-  // Schedule: block distribution, or LPT on the previous call's times
-  // ("at the next objective function call, every processor will receive the
-  //  balanced workload calculated by the current objective function call").
-  // In pool mode the assignment is the §4.4 plan over the pool's workers;
-  // work stealing may rebalance execution without affecting results.
-  const int schedule_ranks =
-      options_.pool_workers > 0 ? options_.pool_workers : ranks;
+  // The §4.4 plan over the pool's workers: block distribution, or LPT on the
+  // previous call's times ("at the next objective function call, every
+  // processor will receive the balanced workload calculated by the current
+  // objective function call"). Work stealing may rebalance execution without
+  // affecting results.
+  const int workers = std::max(options_.pool_workers, 1);
   if (options_.dynamic_load_balancing && have_times) {
-    assignment_ = parallel::lpt_schedule(file_times_, schedule_ranks);
+    assignment_ = parallel::lpt_schedule(file_times_, workers);
   } else {
-    assignment_ = parallel::block_schedule(files, schedule_ranks);
+    assignment_ = parallel::block_schedule(files, workers);
   }
 
-  residuals.assign(m, 0.0);
-  std::vector<double> new_times(files, 0.0);
+  residuals.assign(residual_size(), 0.0);
   const bool per_file = options_.layout == ResidualLayout::kPerFileRecord;
 
-  Status first_error = Status::ok();
-  std::mutex error_mutex;
-
-  if (options_.pool_workers > 0 || ranks == 1) {
-    // Throughput path: one task per file over the persistent pool (or
-    // inline), disjoint per-file segments, deterministic serial reduction.
-    const bool warm = options_.warm_start;
-    eval_segments_.assign(total_records_, 0.0);
-    task_seconds_.assign(files, 0.0);
-    task_stats_.assign(files, solver::IntegrationStats{});
-    run_tasks(files, file_times_, [&](std::size_t f) {
-      SolveScratch& scratch = acquire_scratch();
-      const solver::WarmStartProfile* seed =
-          warm && warm_valid_[f] ? &warm_profiles_[f] : nullptr;
-      const solver::FactorCache* factors =
-          warm && !factor_caches_[f].empty() ? &factor_caches_[f] : nullptr;
-      solver::WarmStartProfile* capture = warm ? &new_profiles_[f] : nullptr;
-      solver::FactorCache* factor_capture =
-          warm ? &new_factor_caches_[f] : nullptr;
-      Status s = solve_file(f, rates, scratch, seed, factors, capture,
-                            factor_capture,
-                            eval_segments_.data() + file_offsets_[f],
-                            task_seconds_[f], task_stats_[f]);
-      release_scratch(scratch);
-      if (!s.is_ok()) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.is_ok()) first_error = s;
-      }
-    });
-    RMS_RETURN_IF_ERROR(first_error);
-    for (std::size_t f = 0; f < files; ++f) {
-      const std::size_t count = experiments_[f].data.record_count();
-      const double* segment = eval_segments_.data() + file_offsets_[f];
-      if (per_file) {
-        std::copy(segment, segment + count,
-                  residuals.begin() +
-                      static_cast<std::ptrdiff_t>(file_offsets_[f]));
-      } else {
-        for (std::size_t j = 0; j < count; ++j) residuals[j] += segment[j];
-      }
-      new_times[f] = task_seconds_[f];
-      solver_stats_.solves += 1;
-      solver_stats_.integration += task_stats_[f];
-      if (warm && !new_profiles_[f].empty()) {
-        // The base evaluation is the warm cache's single writer: Jacobian
-        // column solves read these profiles but never update them, so the
-        // cache content is independent of task interleaving.
-        std::swap(warm_profiles_[f], new_profiles_[f]);
-        new_profiles_[f].clear();
-        warm_valid_[f] = true;
-      }
-      if (warm && !new_factor_caches_[f].empty()) {
-        // Same single-writer rule for the factorization cache.
-        std::swap(factor_caches_[f], new_factor_caches_[f]);
-        new_factor_caches_[f].clear();
-      }
+  // One task per file over the persistent pool (or inline), disjoint
+  // per-file segments, deterministic serial reduction.
+  const bool warm = options_.warm_start;
+  eval_segments_.assign(total_records_, 0.0);
+  task_seconds_.assign(files, 0.0);
+  task_stats_.assign(files, solver::IntegrationStats{});
+  task_status_.assign(files, Status::ok());
+  run_tasks(files, file_times_, [&](std::size_t f) {
+    SolveScratch& scratch = acquire_scratch();
+    const solver::WarmStartProfile* seed =
+        warm && warm_valid_[f] ? &warm_profiles_[f] : nullptr;
+    const solver::FactorCache* factors =
+        warm && !factor_caches_[f].empty() ? &factor_caches_[f] : nullptr;
+    solver::WarmStartProfile* capture = warm ? &new_profiles_[f] : nullptr;
+    solver::FactorCache* factor_capture =
+        warm ? &new_factor_caches_[f] : nullptr;
+    task_status_[f] =
+        solve_file(f, rates, scratch, seed, factors, capture, factor_capture,
+                   eval_segments_.data() + file_offsets_[f], task_seconds_[f],
+                   task_stats_[f]);
+    release_scratch(scratch);
+  });
+  RMS_RETURN_IF_ERROR(first_failure(task_status_));
+  for (std::size_t f = 0; f < files; ++f) {
+    const std::size_t count = experiments_[f].data.record_count();
+    const double* segment = eval_segments_.data() + file_offsets_[f];
+    if (per_file) {
+      std::copy(segment, segment + count,
+                residuals.begin() +
+                    static_cast<std::ptrdiff_t>(file_offsets_[f]));
+    } else {
+      for (std::size_t j = 0; j < count; ++j) residuals[j] += segment[j];
     }
-  } else {
-    // Fig. 9: every rank solves its files into a local error vector, then
-    // Allreduce(SUM) combines error vectors and timing vectors.
-    parallel::run_parallel(ranks, [&](parallel::Communicator& comm) {
-      std::vector<double> local_errors(m, 0.0);
-      std::vector<double> local_times(files, 0.0);
-      std::vector<double> segment;
-      SolveScratch scratch;
-      solver::IntegrationStats local_stats;
-      std::size_t local_solves = 0;
-      for (std::size_t f = 0; f < files; ++f) {
-        if (assignment_[f] != comm.rank()) continue;
-        const std::size_t count = experiments_[f].data.record_count();
-        segment.assign(count, 0.0);
-        solver::IntegrationStats stats;
-        Status s = solve_file(f, rates, scratch, nullptr, nullptr, nullptr,
-                              nullptr, segment.data(), local_times[f], stats);
-        local_stats += stats;
-        ++local_solves;
-        if (!s.is_ok()) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error.is_ok()) first_error = s;
-          continue;
-        }
-        if (per_file) {
-          std::copy(segment.begin(), segment.end(),
-                    local_errors.begin() +
-                        static_cast<std::ptrdiff_t>(file_offsets_[f]));
-        } else {
-          for (std::size_t j = 0; j < count; ++j) {
-            local_errors[j] += segment[j];
-          }
-        }
-      }
-      comm.all_reduce_sum(local_errors);
-      comm.all_reduce_sum(local_times);
-      if (comm.rank() == 0) {
-        for (std::size_t i = 0; i < m; ++i) residuals[i] = local_errors[i];
-        new_times = local_times;
-      }
-      {
-        // Integer sums are order-independent, so accumulating under a mutex
-        // keeps the aggregate deterministic.
-        std::lock_guard<std::mutex> lock(error_mutex);
-        solver_stats_.solves += local_solves;
-        solver_stats_.integration += local_stats;
-      }
-      comm.barrier();
-    });
-    RMS_RETURN_IF_ERROR(first_error);
+    solver_stats_.solves += 1;
+    solver_stats_.integration += task_stats_[f];
+    if (warm && !new_profiles_[f].empty()) {
+      // The base evaluation is the warm cache's single writer: Jacobian
+      // column solves read these profiles but never update them, so the
+      // cache content is independent of task interleaving.
+      std::swap(warm_profiles_[f], new_profiles_[f]);
+      new_profiles_[f].clear();
+      warm_valid_[f] = true;
+    }
+    if (warm && !new_factor_caches_[f].empty()) {
+      // Same single-writer rule for the factorization cache.
+      std::swap(factor_caches_[f], new_factor_caches_[f]);
+      new_factor_caches_[f].clear();
+    }
   }
-
-  file_times_ = std::move(new_times);
+  file_times_ = task_seconds_;
   return Status::ok();
 }
 
@@ -425,8 +336,7 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
   }
 
   const bool warm = options_.warm_start;
-  Status first_error = Status::ok();
-  std::mutex error_mutex;
+  task_status_.assign(tasks, Status::ok());
   run_tasks(tasks, predicted, [&](std::size_t t) {
     const std::size_t c = t / files;
     const std::size_t f = t % files;
@@ -439,17 +349,15 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
         warm && warm_valid_[f] ? &warm_profiles_[f] : nullptr;
     const solver::FactorCache* factors =
         warm && !factor_caches_[f].empty() ? &factor_caches_[f] : nullptr;
-    Status s = solve_file(
+    task_status_[t] = solve_file(
         f, column_rates_[c], scratch, seed, factors, nullptr, nullptr,
         jacobian_segments_.data() + c * total_records_ + file_offsets_[f],
         task_seconds_[t], task_stats_[t]);
     release_scratch(scratch);
-    if (!s.is_ok()) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error.is_ok()) first_error = s;
-    }
   });
-  RMS_RETURN_IF_ERROR(first_error);
+  // Task t is (column t / files, file t % files): the lowest failing task is
+  // the lowest (column, file).
+  RMS_RETURN_IF_ERROR(first_failure(task_status_));
 
   const bool per_file = options_.layout == ResidualLayout::kPerFileRecord;
   std::vector<double> column(per_file ? 0 : m);

@@ -5,21 +5,17 @@
 // over the file's time grid, the simulated property is compared against the
 // measured values, and the differences accumulate into an error vector.
 //
-// Two execution engines are provided:
-//   - the paper-faithful MiniMpi path (Fig. 9): `ranks` threads are
-//     launched per call, each solves a disjoint file subset (block
-//     distribution, or the §4.4 LPT schedule built from the previous call's
-//     recorded per-file solve times) and the local error vectors combine
-//     with Allreduce(SUM);
-//   - the throughput path (`pool_workers` > 0): a *persistent* work-stealing
-//     pool owned by the objective. One Levenberg-Marquardt iteration is a
-//     flat pool of independent (FD column, file) solve tasks
-//     (evaluate_jacobian), ordered longest-recorded-time-first (§4.4 LPT as
-//     a list schedule) and committed into disjoint buffers, so results are
-//     bit-identical for any worker count. Per-worker scratch (solver,
-//     VM registers, rate buffers) and per-file warm-start profiles make the
-//     steady-state solve allocation-free and skip the solver's cold-start
-//     ramp.
+// Every evaluation runs on one engine: a *persistent* work-stealing pool
+// owned by the objective (or inline on the caller when pool_workers is 0).
+// evaluate() is one task per file; one Levenberg-Marquardt Jacobian
+// (evaluate_jacobian) is a flat pool of independent (FD column, file) solve
+// tasks. Tasks run longest-recorded-time-first (§4.4 LPT as a list
+// schedule) and commit into disjoint buffers that are reduced in file
+// order, so results are bit-identical for any worker count, and a failure
+// always reports the same file. Per-worker scratch (solver, VM registers, rate buffers) and
+// per-file warm-start profiles make the steady-state solve allocation-free
+// and skip the solver's cold-start ramp. Each file's ODE system comes from
+// codegen::make_ode_system, the builder rms::Execution uses too.
 #pragma once
 
 #include <functional>
@@ -36,7 +32,6 @@
 #include "solver/adams_gear.hpp"
 #include "solver/ode.hpp"
 #include "support/status.hpp"
-#include "vm/interpreter.hpp"
 #include "vm/program.hpp"
 
 namespace rms::support {
@@ -77,14 +72,13 @@ struct SolverStats {
 struct ObjectiveOptions {
   solver::IntegrationOptions integration;
   ResidualLayout layout = ResidualLayout::kPerFileRecord;
-  /// Ranks for the MiniMpi execution of Fig. 9. 1 = sequential. Ignored
-  /// when pool_workers > 0.
-  int ranks = 1;
-  /// Use the §4.4 dynamic load balancing schedule (LPT on the previous
-  /// call's recorded times) instead of the block distribution.
+  /// Plan files over the pool's workers with the §4.4 dynamic load
+  /// balancing schedule (LPT on the previous call's recorded times) instead
+  /// of the block distribution; last_assignment() reports the plan. The
+  /// pool itself always runs tasks longest-recorded-first.
   bool dynamic_load_balancing = false;
-  /// Workers of the persistent solve pool. 0 disables the pool (MiniMpi /
-  /// sequential execution); N > 0 keeps N worker threads alive for the
+  /// Workers of the persistent solve pool. 0 solves every file inline on
+  /// the calling thread; N > 0 keeps N worker threads alive for the
   /// objective's lifetime — no thread spawn per objective call — and runs
   /// every evaluation (and every batched-Jacobian column) over them.
   /// Results are bit-identical for any value.
@@ -112,6 +106,8 @@ struct ObjectiveOptions {
   /// the AOT-compiled native backend instead of the bytecode VM. Must
   /// outlive the objective; `program` is then only consulted for the
   /// system dimension. Takes precedence over compiled_jacobian.
+  /// An rms::Execution supplies both: pass its native() and
+  /// compiled_jacobian().
   const codegen::NativeBackend* native_backend = nullptr;
 };
 
@@ -133,14 +129,17 @@ class ObjectiveFunction {
   /// Length of the residual vector under the configured layout.
   [[nodiscard]] std::size_t residual_size() const;
 
-  /// Evaluates the residuals for parameter vector x.
+  /// Evaluates the residuals for parameter vector x. When solves fail, the
+  /// lowest-index file's error is returned, prefixed with that file's index
+  /// and name.
   support::Status evaluate(const linalg::Vector& x, linalg::Vector& residuals);
 
   /// Batched forward-difference Jacobian (the nlopt::JacobianFunction
   /// contract): fills column j with (r(x + steps[j] e_j) - r) / steps[j],
   /// scheduling all (column, file) solves as one flat LPT-ordered task pool
   /// over the persistent workers (serially without a pool — identical
-  /// results either way).
+  /// results either way). When solves fail, the error of the lowest
+  /// (column, file) task is returned, prefixed like evaluate()'s.
   support::Status evaluate_jacobian(const linalg::Vector& x,
                                     const linalg::Vector& r,
                                     const linalg::Vector& steps,
@@ -153,8 +152,9 @@ class ObjectiveFunction {
     return file_times_;
   }
 
-  /// Schedule used (pool mode: planned; work stealing may rebalance
-  /// execution without affecting results) by the most recent evaluate().
+  /// Schedule planned by the most recent evaluate() over max(pool_workers,
+  /// 1) workers (work stealing may rebalance execution without affecting
+  /// results).
   [[nodiscard]] const std::vector<int>& last_assignment() const {
     return assignment_;
   }
@@ -175,10 +175,11 @@ class ObjectiveFunction {
   void rates_for(const linalg::Vector& x, std::vector<double>& rates) const;
 
   /// Solves one file and writes the residual of record j to segment[j]
-  /// (record_count entries). `warm` seeds the solver and `factors` lends it
-  /// reusable iteration-matrix factorizations (either may be null);
-  /// `capture` / `factor_capture` receive the accepted-step profile and the
-  /// factorizations this solve performed (may be null).
+  /// (record_count entries); an error names the file. `warm` seeds the
+  /// solver and `factors` lends it reusable iteration-matrix factorizations
+  /// (either may be null); `capture` / `factor_capture` receive the
+  /// accepted-step profile and the factorizations this solve performed (may
+  /// be null).
   support::Status solve_file(std::size_t file_index,
                              const std::vector<double>& prefactors,
                              SolveScratch& scratch,
@@ -198,10 +199,6 @@ class ObjectiveFunction {
                  const std::function<void(std::size_t)>& body);
 
   const vm::Program* program_;
-  /// Shared across all ranks: Interpreter::run is const and keeps its
-  /// registers in per-thread scratch, so one instance serves every
-  /// concurrent solve.
-  vm::Interpreter interpreter_;
   data::Observable observable_;
   std::vector<Experiment> experiments_;
   std::vector<std::uint32_t> estimated_slots_;
@@ -236,6 +233,7 @@ class ObjectiveFunction {
   std::vector<double> jacobian_segments_;  ///< evaluate_jacobian(): per (column, file)
   std::vector<double> task_seconds_;
   std::vector<solver::IntegrationStats> task_stats_;
+  std::vector<support::Status> task_status_;
   std::vector<std::size_t> task_order_;
   std::vector<std::vector<double>> column_rates_;
 };

@@ -2,8 +2,8 @@
 
 #include <cstdlib>
 
+#include "codegen/ode_system.hpp"
 #include "support/assert.hpp"
-#include "vm/interpreter.hpp"
 
 namespace rms {
 
@@ -79,57 +79,9 @@ Execution Execution::create(const models::BuiltModel& built,
 
 solver::OdeSystem Execution::make_system(
     const std::vector<double>* rates) const {
-  RMS_CHECK(built_ != nullptr && rates != nullptr);
-  solver::OdeSystem system;
-  system.dimension = dimension_;
-
-  if (backend_ == Backend::kNative) {
-    // Native: straight function-pointer calls, no scratch state at all.
-    std::shared_ptr<const codegen::NativeBackend> native = native_;
-    system.rhs = [native, rates](double t, const double* y, double* ydot) {
-      native->rhs(t, y, rates->data(), ydot);
-    };
-    if (native->has_batch()) {
-      system.rhs_batch = [native, rates](double t, const double* ys,
-                                         double* ydots, std::size_t n) {
-        native->rhs_batch(t, ys, rates->data(), ydots, n);
-      };
-    }
-    if (native->has_jacobian()) {
-      system.sparse_jacobian = [native, rates](double t, const double* y,
-                                               linalg::CsrMatrix& out) {
-        out.rows = out.cols = native->dimension();
-        out.row_offsets = native->jacobian_row_offsets();
-        out.col_indices = native->jacobian_col_indices();
-        out.values.resize(out.col_indices.size());
-        native->jacobian_values(t, y, rates->data(), out.values.data());
-      };
-    }
-    return system;
-  }
-
-  // VM: a shared const interpreter plus per-system scratch (the batch entry
-  // point needs a register file per concurrent caller).
-  const vm::Interpreter interpreter(built_->program_optimized);
-  system.rhs = [interpreter, rates](double t, const double* y, double* ydot) {
-    interpreter.run(t, y, rates->data(), ydot);
-  };
-  auto batch_scratch = std::make_shared<vm::Scratch>();
-  system.rhs_batch = [interpreter, rates, batch_scratch](
-                         double t, const double* ys, double* ydots,
-                         std::size_t n) {
-    interpreter.run_batch_shared_k(t, ys, rates->data(), ydots, n,
-                                   *batch_scratch);
-  };
-  if (const codegen::CompiledJacobian* jacobian = compiled_jacobian();
-      jacobian != nullptr) {
-    std::shared_ptr<const codegen::CompiledJacobian> shared = vm_jacobian_;
-    system.sparse_jacobian = [shared, rates](double t, const double* y,
-                                             linalg::CsrMatrix& out) {
-      codegen::SparseJacobianEvaluator(shared.get(), rates)(t, y, out);
-    };
-  }
-  return system;
+  RMS_CHECK(built_ != nullptr);
+  return codegen::make_ode_system(built_->program_optimized, native(),
+                                  compiled_jacobian(), rates);
 }
 
 }  // namespace rms

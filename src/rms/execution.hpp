@@ -8,8 +8,13 @@
 //   auto built = rms::Suite::compile(source);
 //   rms::Execution exec = rms::Execution::create(*built);   // auto-selects
 //   std::vector<double> k = built->rates.values();
-//   solver::OdeSystem system = exec.make_system(&k);
+//   solver::OdeSystem system = exec.make_system(&k);   // exec outlives it
 //   solver::AdamsGear integrator(system);
+//
+// make_system and the estimator's per-file solves build their systems
+// through one function, codegen::make_ode_system; to fit a model on the
+// selected backend, hand native() and compiled_jacobian() to
+// estimator::ObjectiveOptions.
 //
 // Selection policy: Backend::kAuto honors $RMS_BACKEND ("vm" / "native" /
 // "auto"), then tries the native backend and falls back to the VM when the
@@ -85,9 +90,12 @@ class Execution {
 
   /// Builds a solver::OdeSystem whose rhs / rhs_batch / sparse_jacobian run
   /// on the selected backend, bound to `rates` (caller-owned; may change
-  /// between calls — the estimator does exactly that). Each returned
-  /// system owns its own scratch state: use one system per concurrent
-  /// solve, as the estimator does per file.
+  /// between calls). This is codegen::make_ode_system over native() and
+  /// compiled_jacobian(), the same builder the estimator's objective uses.
+  /// The system holds non-owning pointers into this Execution and its
+  /// BuiltModel: both must outlive every system made from them. Each
+  /// returned system owns its own scratch state: use one system per
+  /// concurrent solve.
   [[nodiscard]] solver::OdeSystem make_system(
       const std::vector<double>* rates) const;
 

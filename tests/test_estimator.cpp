@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "codegen/bytecode_emitter.hpp"
 #include "codegen/jacobian.hpp"
@@ -136,7 +137,7 @@ TEST(Objective, RecordsPerFileSolveTimes) {
   for (double t : objective.last_file_times()) EXPECT_GT(t, 0.0);
 }
 
-TEST(Objective, ParallelRanksMatchSequential) {
+TEST(Objective, PoolWorkersMatchSequential) {
   TinyModel model;
   std::vector<Experiment> experiments;
   for (int i = 0; i < 6; ++i) {
@@ -145,7 +146,7 @@ TEST(Objective, ParallelRanksMatchSequential) {
   ObjectiveFunction sequential(model.program, model.observable, experiments,
                                {0, 1}, model.true_rates);
   ObjectiveOptions parallel_options;
-  parallel_options.ranks = 3;
+  parallel_options.pool_workers = 3;
   ObjectiveFunction parallel(model.program, model.observable, experiments,
                              {0, 1}, model.true_rates, parallel_options);
   linalg::Vector r_seq;
@@ -154,7 +155,7 @@ TEST(Objective, ParallelRanksMatchSequential) {
   ASSERT_TRUE(parallel.evaluate({1.5, 0.4}, r_par).is_ok());
   ASSERT_EQ(r_seq.size(), r_par.size());
   for (std::size_t i = 0; i < r_seq.size(); ++i) {
-    EXPECT_NEAR(r_seq[i], r_par[i], 1e-9);
+    EXPECT_EQ(r_seq[i], r_par[i]) << i;
   }
 }
 
@@ -167,7 +168,7 @@ TEST(Objective, DynamicLoadBalancingUsesRecordedTimes) {
   experiments.push_back(model.make_experiment(1.0, 40));
   experiments.push_back(model.make_experiment(1.0, 400));
   ObjectiveOptions options;
-  options.ranks = 2;
+  options.pool_workers = 2;
   options.dynamic_load_balancing = true;
   ObjectiveFunction objective(model.program, model.observable,
                               std::move(experiments), {0, 1},
@@ -184,6 +185,38 @@ TEST(Objective, DynamicLoadBalancingUsesRecordedTimes) {
   ASSERT_TRUE(objective.evaluate({1.0, 0.5}, r).is_ok());
   const auto second = objective.last_assignment();
   EXPECT_NE(second[0], second[3]);
+}
+
+TEST(Objective, ReportsLowestIndexFailingFileForAnyWorkerCount) {
+  TinyModel model;
+  std::vector<Experiment> experiments;
+  for (int i = 0; i < 4; ++i) {
+    experiments.push_back(model.make_experiment(0.5 + 0.25 * i, 40));
+    experiments.back().data.name = "formulation-" + std::to_string(i);
+  }
+  // Files 1 and 3 cannot be solved: their initial state has the wrong size.
+  experiments[1].initial_state.push_back(0.0);
+  experiments[3].initial_state.pop_back();
+  for (int workers : {0, 1, 2, 8}) {
+    ObjectiveOptions options;
+    options.pool_workers = workers;
+    ObjectiveFunction objective(model.program, model.observable, experiments,
+                                {0, 1}, model.true_rates, options);
+    linalg::Vector r;
+    const support::Status eval = objective.evaluate({1.0, 0.5}, r);
+    ASSERT_FALSE(eval.is_ok()) << workers;
+    EXPECT_EQ(eval.code(), support::StatusCode::kInvalidArgument);
+    EXPECT_EQ(eval.message().rfind("file 1 (formulation-1): ", 0), 0u)
+        << workers << ": " << eval.message();
+
+    const linalg::Vector x = {1.0, 0.5};
+    const linalg::Vector base(objective.residual_size(), 0.0);
+    linalg::Matrix jacobian(objective.residual_size(), 2);
+    const support::Status jac =
+        objective.evaluate_jacobian(x, base, {1e-4, 1e-4}, jacobian);
+    ASSERT_FALSE(jac.is_ok()) << workers;
+    EXPECT_EQ(jac.message(), eval.message()) << workers;
+  }
 }
 
 TEST(Objective, ParameterCountValidated) {

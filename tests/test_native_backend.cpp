@@ -410,5 +410,102 @@ TEST(NativeBackend, EstimatorObjectiveParity) {
   }
 }
 
+/// Solves one experiment by hand on `system` with the sparse-LU Adams-Gear
+/// and returns its residuals — what the objective must reproduce.
+std::vector<double> solve_by_hand(const solver::OdeSystem& system,
+                                  const estimator::Experiment& experiment,
+                                  const data::Observable& observable) {
+  solver::IntegrationOptions integration;
+  integration.newton_linear_solver = solver::NewtonLinearSolver::kSparseLu;
+  solver::AdamsGear integrator(system, integration);
+  std::vector<double> residuals;
+  EXPECT_TRUE(integrator
+                  .initialize(std::min(0.0, experiment.data.times.front()),
+                              experiment.initial_state)
+                  .is_ok());
+  std::vector<double> y;
+  for (std::size_t j = 0; j < experiment.data.record_count(); ++j) {
+    EXPECT_TRUE(integrator.advance_to(experiment.data.times[j], y).is_ok());
+    residuals.push_back(observable.measure(y) - experiment.data.values[j]);
+  }
+  return residuals;
+}
+
+/// The one-path contract: an objective built from an Execution's native()
+/// and compiled_jacobian() solves every file exactly as exec.make_system
+/// plus the sparse-LU Adams-Gear does by hand, bit for bit.
+void expect_objective_matches_execution(const models::BuiltModel& built,
+                                        const Execution& exec) {
+  ASSERT_TRUE(exec.native() != nullptr || exec.compiled_jacobian() != nullptr);
+  data::Observable observable;
+  observable.weighted_species = {{0, 1.0}};
+  const std::vector<double> truth = built.rates.values();
+
+  std::vector<estimator::Experiment> experiments;
+  for (double loading : {1.0, 0.6}) {
+    estimator::Experiment e;
+    e.initial_state = built.odes.init_concentrations;
+    for (double& c : e.initial_state) c *= loading;
+    data::SyntheticOptions synth;
+    synth.t_end = 1.0;
+    synth.record_count = 30;
+    synth.integration.newton_linear_solver =
+        solver::NewtonLinearSolver::kSparseLu;
+    auto data = data::synthesize_experiment(exec.make_system(&truth),
+                                            e.initial_state, observable,
+                                            synth);
+    ASSERT_TRUE(data.is_ok()) << data.status().to_string();
+    e.data = std::move(data).value();
+    experiments.push_back(std::move(e));
+  }
+
+  std::vector<std::uint32_t> slots;
+  for (std::uint32_t s = 0; s < truth.size(); ++s) slots.push_back(s);
+  estimator::ObjectiveOptions options;
+  options.native_backend = exec.native();
+  options.compiled_jacobian = exec.compiled_jacobian();
+  estimator::ObjectiveFunction objective(built.program_optimized, observable,
+                                         experiments, slots, truth, options);
+  linalg::Vector x(truth.begin(), truth.end());
+  for (double& v : x) v *= 1.2;  // off-truth: nonzero residuals
+  linalg::Vector residuals;
+  ASSERT_TRUE(objective.evaluate(x, residuals).is_ok());
+
+  const std::vector<double> rates(x.begin(), x.end());
+  std::size_t offset = 0;
+  for (const estimator::Experiment& e : experiments) {
+    const std::vector<double> expected =
+        solve_by_hand(exec.make_system(&rates), e, observable);
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      EXPECT_EQ(residuals[offset + j], expected[j]) << offset + j;
+    }
+    offset += expected.size();
+  }
+  EXPECT_EQ(offset, residuals.size());
+}
+
+TEST(NativeBackend, ObjectiveSolvesLikeExecutionOnVm) {
+  auto built = models::build_test_case({2, 3});
+  ASSERT_TRUE(built.is_ok());
+  ExecutionOptions options;
+  options.backend = Backend::kVm;
+  const Execution exec = Execution::create(*built, options);
+  ASSERT_EQ(exec.backend(), Backend::kVm);
+  expect_objective_matches_execution(*built, exec);
+}
+
+TEST(NativeBackend, ObjectiveSolvesLikeExecutionOnNative) {
+  if (!have_cc()) GTEST_SKIP() << "no system C compiler";
+  auto built = models::build_test_case({2, 3});
+  ASSERT_TRUE(built.is_ok());
+  TempCacheDir cache;
+  ExecutionOptions options;
+  options.backend = Backend::kNative;
+  options.native = test_options(cache);
+  const Execution exec = Execution::create(*built, options);
+  ASSERT_EQ(exec.backend(), Backend::kNative) << exec.fallback_reason();
+  expect_objective_matches_execution(*built, exec);
+}
+
 }  // namespace
 }  // namespace rms::codegen
