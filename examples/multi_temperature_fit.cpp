@@ -15,12 +15,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "codegen/jacobian.hpp"
 #include "data/synthetic.hpp"
 #include "estimator/estimator.hpp"
+#include "rms/execution.hpp"
 #include "rms/suite.hpp"
 #include "support/strings.hpp"
-#include "vm/interpreter.hpp"
 
 namespace {
 
@@ -96,16 +95,19 @@ int main() {
     true_prefactors[s] = params->prefactor;
   }
 
-  // Cure curves at three temperatures (the hot cure finishes much faster).
+  // Cure curves at three temperatures (the hot cure finishes much faster),
+  // integrated on the bytecode VM with the analytic sparse Jacobian.
+  ExecutionOptions execution;
+  execution.backend = Backend::kVm;
+  const Execution exec = Execution::create(*built, execution);
   std::vector<estimator::Experiment> experiments;
   std::printf("Synthesizing cure curves:\n");
   for (double temperature : {300.0, 320.0, 340.0}) {
     const std::vector<double> rates_at_t = built->rates.values_at(temperature);
-    vm::Interpreter rhs(built->program_optimized);
-    solver::OdeSystem system{n, [&](double t, const double* y, double* ydot) {
-                               rhs.run(t, y, rates_at_t.data(), ydot);
-                             }};
+    const solver::OdeSystem system = exec.make_system(&rates_at_t);
     data::SyntheticOptions options;
+    options.integration.newton_linear_solver =
+        solver::NewtonLinearSolver::kSparseLu;
     options.t_end = 12.0;
     options.record_count = 3200;
     options.noise_level = 0.003;
@@ -144,10 +146,8 @@ int main() {
   // Throughput layer: persistent 2-worker pool, LPT-ordered (column, file)
   // Jacobian tasks, warm-started per-file solves with sparse-LU reuse
   // (results are bit-identical for any worker count; see
-  // docs/estimator.md).
-  const codegen::CompiledJacobian compiled_jacobian =
-      codegen::compile_jacobian(built->odes.table, n, n_params);
-  options.compiled_jacobian = &compiled_jacobian;
+  // docs/estimator.md). The analytic Jacobian is the Execution's.
+  options.compiled_jacobian = exec.compiled_jacobian();
   options.pool_workers = 2;
   options.warm_start = true;
   options.dynamic_load_balancing = true;

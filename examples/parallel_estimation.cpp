@@ -8,12 +8,12 @@
 #include <cstdio>
 
 #include "data/synthetic.hpp"
-#include "support/strings.hpp"
 #include "estimator/objective.hpp"
 #include "models/test_cases.hpp"
 #include "parallel/sim_cluster.hpp"
+#include "rms/execution.hpp"
 #include "support/rng.hpp"
-#include "vm/interpreter.hpp"
+#include "support/strings.hpp"
 
 int main() {
   using namespace rms;
@@ -35,11 +35,13 @@ int main() {
   }
 
   // 16 files with deliberately unequal sizes -> unequal solve times.
+  // The data come from the compiled model on the bytecode VM with its
+  // analytic sparse Jacobian.
   const std::vector<double> rates = built->rates.values();
-  vm::Interpreter rhs(built->program_optimized);
-  solver::OdeSystem system{n, [&](double t, const double* y, double* ydot) {
-                             rhs.run(t, y, rates.data(), ydot);
-                           }};
+  ExecutionOptions execution;
+  execution.backend = Backend::kVm;
+  const Execution exec = Execution::create(*built, execution);
+  const solver::OdeSystem system = exec.make_system(&rates);
   support::Xoshiro256 rng(5);
   std::vector<estimator::Experiment> experiments;
   for (int f = 0; f < 16; ++f) {
@@ -47,6 +49,8 @@ int main() {
     e.initial_state = built->odes.init_concentrations;
     e.initial_state[0] *= rng.uniform(0.7, 1.4);
     data::SyntheticOptions options;
+    options.integration.newton_linear_solver =
+        solver::NewtonLinearSolver::kSparseLu;
     options.t_end = rng.uniform(2.0, 8.0);
     options.record_count = 400 + 400 * static_cast<std::size_t>(rng.below(8));
     auto data = data::synthesize_experiment(

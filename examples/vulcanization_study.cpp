@@ -9,10 +9,10 @@
 #include <cstdio>
 
 #include "data/synthetic.hpp"
-#include "support/strings.hpp"
 #include "estimator/estimator.hpp"
 #include "models/vulcanization.hpp"
-#include "vm/interpreter.hpp"
+#include "rms/execution.hpp"
+#include "support/strings.hpp"
 
 int main() {
   using namespace rms;
@@ -45,8 +45,13 @@ int main() {
 
   // ---- 2. "Collect" experimental data for four formulations. ----
   // Ground truth: the compiled constants; each formulation varies the
-  // accelerator loading.
+  // accelerator loading. The "lab" integrates the compiled model on the
+  // bytecode VM with its analytic sparse Jacobian.
   const std::vector<double> true_rates = built->rates.values();
+  ExecutionOptions execution;
+  execution.backend = Backend::kVm;
+  const Execution exec = Execution::create(*built, execution);
+  const solver::OdeSystem system = exec.make_system(&true_rates);
   std::vector<estimator::Experiment> experiments;
   std::printf("Synthesizing cure curves (ground truth hidden from the "
               "estimator):\n");
@@ -59,11 +64,9 @@ int main() {
         e.initial_state[i] *= 0.5 + 0.5 * f;
       }
     }
-    vm::Interpreter rhs(built->program_optimized);
-    solver::OdeSystem system{n, [&](double t, const double* y, double* ydot) {
-                               rhs.run(t, y, true_rates.data(), ydot);
-                             }};
     data::SyntheticOptions options;
+    options.integration.newton_linear_solver =
+        solver::NewtonLinearSolver::kSparseLu;
     options.t_end = 6.0;
     options.record_count = 3200;  // paper: >3000 records per file
     options.noise_level = 0.004;

@@ -22,20 +22,18 @@ support::Expected<ExperimentData> synthesize_experiment(
   data.values.reserve(options.record_count);
 
   solver::AdamsGear integrator(system, options.integration);
+  integrator.set_output(&observable);
   RMS_RETURN_IF_ERROR(integrator.initialize(options.t_begin, y0));
 
   const double dt = (options.t_end - options.t_begin) /
                     static_cast<double>(options.record_count - 1);
-  std::vector<double> y;
   for (std::size_t i = 0; i < options.record_count; ++i) {
+    // The first record is t_begin itself: the stored measure(y0).
     const double t = options.t_begin + dt * static_cast<double>(i);
-    if (i == 0) {
-      y = y0;
-    } else {
-      RMS_RETURN_IF_ERROR(integrator.advance_to(t, y));
-    }
+    double value = 0.0;
+    RMS_RETURN_IF_ERROR(integrator.advance_to_observed(t, value));
     data.times.push_back(t);
-    data.values.push_back(observable.measure(y));
+    data.values.push_back(value);
   }
 
   if (options.noise_level > 0.0) {

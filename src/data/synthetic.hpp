@@ -18,19 +18,9 @@
 
 namespace rms::data {
 
-/// The measured property as a linear combination of species concentrations
-/// (e.g. total crosslink concentration = sum over crosslink species).
-struct Observable {
-  std::vector<std::pair<std::size_t, double>> weighted_species;
-
-  [[nodiscard]] double measure(const std::vector<double>& y) const {
-    double total = 0.0;
-    for (const auto& [index, weight] : weighted_species) {
-      total += weight * y[index];
-    }
-    return total;
-  }
-};
+/// The measured property (defined next to the solver, which interpolates
+/// it at record times).
+using solver::Observable;
 
 struct SyntheticOptions {
   double t_begin = 0.0;

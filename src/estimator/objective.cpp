@@ -29,16 +29,15 @@ Status first_failure(const std::vector<Status>& statuses) {
 }  // namespace
 
 /// Everything one in-flight solve needs, reusable across solves: the rate
-/// buffer the ODE closures read through a stable pointer, the solver (its
-/// system with the VM's batch registers, its history, Newton and Jacobian
-/// workspaces persist across initialize() calls), and the interpolation
-/// output. A scratch is checked out of a freelist per task; which scratch a
-/// task gets never affects results because initialize() resets all
-/// result-bearing solver state.
+/// buffer the ODE closures read through a stable pointer and the solver
+/// (its system with the VM's batch registers, its history, Newton and
+/// Jacobian workspaces persist across initialize() calls). A scratch is
+/// checked out of a freelist per task; which scratch a task gets never
+/// affects results because initialize() resets all result-bearing solver
+/// state.
 struct ObjectiveFunction::SolveScratch {
   std::vector<double> rates;
   std::unique_ptr<solver::AdamsGear> integrator;
-  std::vector<double> y;
 };
 
 ObjectiveFunction::ObjectiveFunction(const vm::Program& program,
@@ -131,6 +130,9 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
     }
     scratch.integrator =
         std::make_unique<solver::AdamsGear>(std::move(system), integration);
+    // Records read the observable interpolated from its per-step values,
+    // never the interpolated state.
+    scratch.integrator->set_output(&observable_);
   }
 
   solver::AdamsGear& integrator = *scratch.integrator;
@@ -144,9 +146,10 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
       experiment.initial_state);
   if (status.is_ok()) {
     for (std::size_t j = 0; j < experiment.data.record_count(); ++j) {
-      status = integrator.advance_to(experiment.data.times[j], scratch.y);
+      double simulated = 0.0;
+      status = integrator.advance_to_observed(experiment.data.times[j],
+                                              simulated);
       if (!status.is_ok()) break;
-      const double simulated = observable_.measure(scratch.y);
       segment[j] = simulated - experiment.data.values[j];
     }
   }

@@ -162,6 +162,7 @@ support::Expected<LevMarResult> bounded_least_squares(
 
     // Damped step: minimize ||[J; sqrt(lambda) I] dx + [r; 0]||.
     bool step_accepted = false;
+    Status trial_error = Status::ok();
     while (lambda <= options.max_lambda) {
       Matrix stacked(m + n, n);
       for (std::size_t i = 0; i < m; ++i) {
@@ -185,10 +186,14 @@ support::Expected<LevMarResult> bounded_least_squares(
       for (std::size_t j = 0; j < n; ++j) x_new[j] += dx[j];
       clamp_to_bounds(x_new, lower, upper);
 
+      // A trial point whose residuals fail (e.g. a stiff solve that cannot
+      // finish there) is a rejected step, like a non-finite cost: a shorter
+      // step may stay where the model still solves.
       Vector r_new(m);
-      RMS_RETURN_IF_ERROR(residuals(x_new, r_new));
+      const Status trial = residuals(x_new, r_new);
       ++result.residual_evaluations;
-      const double new_cost = cost_of(r_new);
+      if (!trial.is_ok()) trial_error = trial;
+      const double new_cost = trial.is_ok() ? cost_of(r_new) : HUGE_VAL;
 
       if (new_cost < result.cost && std::isfinite(new_cost)) {
         // Accept.
@@ -228,6 +233,9 @@ support::Expected<LevMarResult> bounded_least_squares(
     if (!step_accepted) {
       result.converged = result.cost == 0.0;
       result.message = "lambda exceeded maximum without an acceptable step";
+      if (!trial_error.is_ok()) {
+        result.message += "; last trial error: " + trial_error.to_string();
+      }
       break;
     }
     if (result.converged) break;

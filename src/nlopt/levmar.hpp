@@ -62,7 +62,10 @@ struct LevMarResult {
 
 /// Minimizes 0.5*||r(x)||^2 subject to lower <= x <= upper.
 /// `residual_size` is the length of r. x0 must lie inside the bounds
-/// (it is clamped if not).
+/// (it is clamped if not). A residual error at x0 or in the Jacobian ends
+/// the fit with that error; one at a trial point rejects the step and
+/// grows lambda, and if lambda then passes max_lambda the result's message
+/// names the last trial error.
 support::Expected<LevMarResult> bounded_least_squares(
     const ResidualFunction& residuals, std::size_t residual_size,
     linalg::Vector x0, const linalg::Vector& lower, const linalg::Vector& upper,

@@ -68,6 +68,7 @@ support::Status AdamsGear::initialize(double t0, const std::vector<double>& y0) 
   }
   history_.front().t = t0;
   history_.front().y = y0;
+  if (output_ != nullptr) history_.front().output = output_->measure(y0);
   stats_ = IntegrationStats{};
   order_ = 1;
   accepts_at_order_ = 0;
@@ -348,24 +349,6 @@ bool AdamsGear::factor_iteration_matrix(double d0) {
   return true;
 }
 
-void AdamsGear::predict(double t_new, std::vector<double>& y_pred) {
-  // Extrapolate through order+1 points when available: the predictor then
-  // has the corrector's order, so corrector - predictor estimates the local
-  // truncation term.
-  const int points = static_cast<int>(std::min<std::size_t>(
-      history_.size(), static_cast<std::size_t>(order_) + 1));
-  interp_nodes_.resize(points);
-  for (int i = 0; i < points; ++i) interp_nodes_[i] = history_[i].t;
-  fornberg_weights(t_new, interp_nodes_.data(), points, 0, interp_w_);
-  const std::size_t n = system_.dimension;
-  y_pred.assign(n, 0.0);
-  for (int i = 0; i < points; ++i) {
-    const std::vector<double>& y = history_[i].y;
-    const double wi = interp_w_[i];
-    for (std::size_t j = 0; j < n; ++j) y_pred[j] += wi * y[j];
-  }
-}
-
 support::Status AdamsGear::newton_solve(double t_new,
                                         const std::vector<double>& d,
                                         std::vector<double>& y,
@@ -514,8 +497,10 @@ support::Status AdamsGear::step() {
       }
     }
 
-    // Predict, then correct by Newton.
-    predict(t_new, y_pred_);
+    // Predict, then correct by Newton. The predictor extrapolates through
+    // order + 1 points when available: it then has the corrector's order,
+    // so corrector - predictor estimates the local truncation term.
+    interpolate(t_new, y_pred_);
     y_new_ = y_pred_;
     bool converged = false;
     RMS_RETURN_IF_ERROR(newton_solve(t_new, d, y_new_, converged));
@@ -573,6 +558,7 @@ support::Status AdamsGear::step() {
       }
       recycled.t = t_new;
       recycled.y.swap(y_new_);
+      if (output_ != nullptr) recycled.output = output_->measure(recycled.y);
       history_.push_front(std::move(recycled));
       ++stats_.steps;
       consecutive_rejects_ = 0;
@@ -630,22 +616,27 @@ support::Status AdamsGear::step() {
   return support::numeric_error("step repeatedly rejected");
 }
 
-void AdamsGear::interpolate(double t, std::vector<double>& y_out) {
+int AdamsGear::interpolation_weights(double t) {
   const int points = static_cast<int>(std::min<std::size_t>(
       history_.size(), static_cast<std::size_t>(order_) + 1));
   interp_nodes_.resize(points);
   for (int i = 0; i < points; ++i) interp_nodes_[i] = history_[i].t;
   fornberg_weights(t, interp_nodes_.data(), points, 0, interp_w_);
+  return points;
+}
+
+void AdamsGear::interpolate(double t, std::vector<double>& y_out) {
+  const int points = interpolation_weights(t);
   const std::size_t n = system_.dimension;
   y_out.assign(n, 0.0);
   for (int i = 0; i < points; ++i) {
     const std::vector<double>& y = history_[i].y;
-    for (std::size_t j = 0; j < n; ++j) y_out[j] += interp_w_[i] * y[j];
+    const double wi = interp_w_[i];
+    for (std::size_t j = 0; j < n; ++j) y_out[j] += wi * y[j];
   }
 }
 
-support::Status AdamsGear::advance_to(double t_target,
-                                      std::vector<double>& y_out) {
+support::Status AdamsGear::advance(double t_target) {
   if (!initialized_) {
     return support::Status(support::StatusCode::kFailedPrecondition,
                            "initialize() must be called first");
@@ -671,10 +662,35 @@ support::Status AdamsGear::advance_to(double t_target,
       return support::numeric_error("max_steps_per_call exceeded");
     }
   }
+  return support::Status::ok();
+}
+
+support::Status AdamsGear::advance_to(double t_target,
+                                      std::vector<double>& y_out) {
+  RMS_RETURN_IF_ERROR(advance(t_target));
   if (history_.front().t == t_target) {
     y_out = history_.front().y;
   } else {
     interpolate(t_target, y_out);
+  }
+  return support::Status::ok();
+}
+
+support::Status AdamsGear::advance_to_observed(double t_target,
+                                               double& value) {
+  if (output_ == nullptr) {
+    return support::Status(support::StatusCode::kFailedPrecondition,
+                           "set_output() must be called before initialize()");
+  }
+  RMS_RETURN_IF_ERROR(advance(t_target));
+  if (history_.front().t == t_target) {
+    value = history_.front().output;
+    return support::Status::ok();
+  }
+  const int points = interpolation_weights(t_target);
+  value = 0.0;
+  for (int i = 0; i < points; ++i) {
+    value += interp_w_[i] * history_[i].output;
   }
   return support::Status::ok();
 }

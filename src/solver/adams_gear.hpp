@@ -24,6 +24,17 @@
 // conservative cold-start ramp — larger initial step, earlier order raises,
 // faster step growth toward the recorded profile — while the error
 // controller still validates every step, so accuracy is unchanged.
+//
+// Observed output: the estimator compares one linear Observable with the
+// measured value at every record, several records per accepted step. With
+// an output installed (set_output), each history point also stores its
+// projection p_k = measure(y_k), computed once when the point enters the
+// history, and advance_to_observed interpolates those scalars with the
+// same Fornberg weights l_k(t) that interpolate the state:
+//     measure(sum_k l_k(t) y_k) = sum_k l_k(t) measure(y_k),
+// exact in real arithmetic (only the summation order differs), at O(order)
+// per record instead of O(n * order). Step control never reads the output,
+// so the trajectory is the same whichever call the caller uses.
 #pragma once
 
 #include <deque>
@@ -80,6 +91,13 @@ class AdamsGear final : public OdeSolver {
   support::Status initialize(double t0, const std::vector<double>& y0) override;
   support::Status advance_to(double t_target,
                              std::vector<double>& y_out) override;
+
+  /// Integrates forward like advance_to but writes only the installed
+  /// output's value at t_target: the stored projection of the newest
+  /// history point when t_target is that point, otherwise the projections
+  /// interpolated with the weights advance_to would use on the state.
+  /// Requires set_output before the last initialize().
+  support::Status advance_to_observed(double t_target, double& value);
   [[nodiscard]] double current_time() const override { return history_.front().t; }
   [[nodiscard]] const IntegrationStats& stats() const override { return stats_; }
   [[nodiscard]] std::string name() const override { return "adams-gear-bdf"; }
@@ -110,12 +128,22 @@ class AdamsGear final : public OdeSolver {
   /// ladder for the trajectory. nullptr (the default) disables recording.
   void set_factor_recorder(FactorCache* out) { factor_recorder_ = out; }
 
+  /// Borrows the linear output advance_to_observed reports. Install it
+  /// before initialize(): from then on every point entering the history
+  /// (y0, then each accepted step) stores its projection. nullptr (the
+  /// default) stores nothing. The output must outlive the integration.
+  void set_output(const Observable* output) { output_ = output; }
+
  private:
   struct HistoryPoint {
     double t = 0.0;
     std::vector<double> y;
+    double output = 0.0;  ///< output_->measure(y) when an output is set
   };
 
+  /// Steps until the newest history point reaches t_target; the record
+  /// loop shared by advance_to and advance_to_observed.
+  support::Status advance(double t_target);
   support::Status step();
   support::Status newton_solve(double t_new, const std::vector<double>& d,
                                std::vector<double>& y, bool& converged);
@@ -128,8 +156,12 @@ class AdamsGear final : public OdeSolver {
   bool try_factor_cache(double d0);
   bool iteration_structure_matches() const;
   void build_iteration_structure();
+  /// Fornberg weights at t over the newest min(history, order + 1) points
+  /// into interp_w_; returns the number of points.
+  int interpolation_weights(double t);
+  /// State at t through the interpolation_weights points: dense output
+  /// inside the newest step, and the predictor when t lies beyond it.
   void interpolate(double t, std::vector<double>& y_out);
-  void predict(double t_new, std::vector<double>& y_pred);
   /// Profile entry in effect at time t (monotone cursor; t must not
   /// decrease between calls within one integration).
   std::size_t warm_index_at(double t);
@@ -194,6 +226,7 @@ class AdamsGear final : public OdeSolver {
   std::vector<int> profile_orders_;
   const WarmStartProfile* warm_ = nullptr;
   std::size_t warm_cursor_ = 0;
+  const Observable* output_ = nullptr;
 
   bool initialized_ = false;
 };

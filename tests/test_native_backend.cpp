@@ -410,35 +410,39 @@ TEST(NativeBackend, EstimatorObjectiveParity) {
   }
 }
 
-/// Solves one experiment by hand on `system` with the sparse-LU Adams-Gear
-/// and returns its residuals — what the objective must reproduce.
+/// Solves one experiment by hand on `system` with the sparse-LU Adams-Gear,
+/// reading the observable at each record through the solver's projected
+/// output, and returns its residuals — what the objective must reproduce.
 std::vector<double> solve_by_hand(const solver::OdeSystem& system,
                                   const estimator::Experiment& experiment,
                                   const data::Observable& observable) {
   solver::IntegrationOptions integration;
   integration.newton_linear_solver = solver::NewtonLinearSolver::kSparseLu;
   solver::AdamsGear integrator(system, integration);
+  integrator.set_output(&observable);
   std::vector<double> residuals;
   EXPECT_TRUE(integrator
                   .initialize(std::min(0.0, experiment.data.times.front()),
                               experiment.initial_state)
                   .is_ok());
-  std::vector<double> y;
   for (std::size_t j = 0; j < experiment.data.record_count(); ++j) {
-    EXPECT_TRUE(integrator.advance_to(experiment.data.times[j], y).is_ok());
-    residuals.push_back(observable.measure(y) - experiment.data.values[j]);
+    double simulated = 0.0;
+    EXPECT_TRUE(integrator
+                    .advance_to_observed(experiment.data.times[j], simulated)
+                    .is_ok());
+    residuals.push_back(simulated - experiment.data.values[j]);
   }
   return residuals;
 }
 
 /// The one-path contract: an objective built from an Execution's native()
 /// and compiled_jacobian() solves every file exactly as exec.make_system
-/// plus the sparse-LU Adams-Gear does by hand, bit for bit.
+/// plus the sparse-LU Adams-Gear does by hand, bit for bit — for a
+/// single-species observable and for one spread over every species.
 void expect_objective_matches_execution(const models::BuiltModel& built,
-                                        const Execution& exec) {
+                                        const Execution& exec,
+                                        const data::Observable& observable) {
   ASSERT_TRUE(exec.native() != nullptr || exec.compiled_jacobian() != nullptr);
-  data::Observable observable;
-  observable.weighted_species = {{0, 1.0}};
   const std::vector<double> truth = built.rates.values();
 
   std::vector<estimator::Experiment> experiments;
@@ -482,6 +486,22 @@ void expect_objective_matches_execution(const models::BuiltModel& built,
     offset += expected.size();
   }
   EXPECT_EQ(offset, residuals.size());
+}
+
+void expect_objective_matches_execution(const models::BuiltModel& built,
+                                        const Execution& exec) {
+  data::Observable first_species;
+  first_species.weighted_species = {{0, 1.0}};
+  data::Observable every_species;
+  for (std::size_t i = 0; i < built.odes.species_names.size(); ++i) {
+    every_species.weighted_species.emplace_back(
+        i, 0.5 + static_cast<double>(i % 7) / 7.0);
+  }
+  for (const data::Observable* observable : {&first_species, &every_species}) {
+    SCOPED_TRACE(observable == &first_species ? "first species"
+                                              : "every species");
+    expect_objective_matches_execution(built, exec, *observable);
+  }
 }
 
 TEST(NativeBackend, ObjectiveSolvesLikeExecutionOnVm) {

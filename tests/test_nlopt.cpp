@@ -177,6 +177,47 @@ TEST(LevMar, PropagatesResidualError) {
   EXPECT_EQ(result.status().code(), support::StatusCode::kNumericError);
 }
 
+TEST(LevMar, FailedTrialPointGrowsLambda) {
+  // r(x) = x^2 - 4 from x = 0.5: the first, nearly undamped Gauss-Newton
+  // step lands near x = 4.25, where the residual fails (a model that cannot
+  // be solved there). Rejecting it grows lambda until the step stays below
+  // x = 3, and the fit reaches the optimum x = 2.
+  std::size_t failures = 0;
+  auto residuals = [&failures](const Vector& x, Vector& r) -> Status {
+    if (x[0] > 3.0) {
+      ++failures;
+      return support::numeric_error("solver blew up");
+    }
+    r = {x[0] * x[0] - 4.0};
+    return Status::ok();
+  };
+  Vector lower = {-10};
+  Vector upper = {10};
+  auto result = bounded_least_squares(residuals, 1, {0.5}, lower, upper);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_GT(failures, 0u);
+  EXPECT_TRUE(result->converged) << result->message;
+  EXPECT_NEAR(result->x[0], 2.0, 1e-6);
+}
+
+TEST(LevMar, ExhaustedLambdaNamesLastTrialError) {
+  // The start point and its Jacobian column solve; every trial point fails.
+  std::size_t calls = 0;
+  auto residuals = [&calls](const Vector& x, Vector& r) -> Status {
+    if (++calls > 2) return support::numeric_error("solver blew up");
+    r = {x[0] * x[0] - 4.0};
+    return Status::ok();
+  };
+  Vector lower = {-10};
+  Vector upper = {10};
+  auto result = bounded_least_squares(residuals, 1, {0.5}, lower, upper);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_FALSE(result->converged);
+  EXPECT_EQ(result->x[0], 0.5);
+  EXPECT_NE(result->message.find("solver blew up"), std::string::npos)
+      << result->message;
+}
+
 // Property sweep: random well-conditioned linear problems are solved to
 // near-exactness from random starts.
 class LevMarProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -479,6 +479,117 @@ TEST(AdamsGear, SparseLuTrajectoryMatchesDenseLu) {
   EXPECT_NEAR(sulfur_mass, y0[0], 10.0 * options.relative_tolerance * y0[0]);
 }
 
+void expect_same_work(const IntegrationStats& a, const IntegrationStats& b) {
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.rejected_steps, b.rejected_steps);
+  EXPECT_EQ(a.rhs_evaluations, b.rhs_evaluations);
+  EXPECT_EQ(a.jacobian_evaluations, b.jacobian_evaluations);
+  EXPECT_EQ(a.factorizations, b.factorizations);
+  EXPECT_EQ(a.newton_iterations, b.newton_iterations);
+  EXPECT_EQ(a.warm_starts, b.warm_starts);
+  EXPECT_EQ(a.factor_cache_hits, b.factor_cache_hits);
+}
+
+TEST(AdamsGear, ObservedOutputMatchesMeasuredState) {
+  // The projected output against measuring the interpolated state: the
+  // same Fornberg weights, applied after the linear projection instead of
+  // before it. Cold steps are clamped to land on records; warm steps chase
+  // a captured profile, so records fall inside step interiors.
+  const std::size_t m = 40;
+  const std::size_t n = m + 2;
+  std::vector<double> y0(n, 0.0);
+  y0[0] = 2.0;
+  y0[1] = 1.0;
+  Observable spread;  // every species, mixed signs
+  for (std::size_t i = 0; i < n; ++i) {
+    const double golden = 0.6180339887498949 * static_cast<double>(i + 1);
+    const double sign = i % 3 == 0 ? -1.0 : 1.0;
+    spread.weighted_species.emplace_back(
+        i, sign * (0.5 + golden - std::floor(golden)));
+  }
+  Observable crosslinks;  // one species, weight 1
+  crosslinks.weighted_species = {{m + 1, 1.0}};
+  std::vector<double> times;
+  for (int j = 0; j <= 400; ++j) times.push_back(20.0 * j / 400.0);
+
+  IntegrationOptions options;
+  options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
+  AdamsGear solver(sulfur_chain(m), options);
+
+  struct Pass {
+    std::vector<double> values;
+    std::vector<double> scales;  ///< sum_i |w_i y_i| (state passes only)
+    std::size_t interior_records = 0;
+    IntegrationStats stats;
+  };
+  // One pass over the record grid reading either the observed output or the
+  // measured interpolated state.
+  auto run = [&](const Observable& output, bool observed) {
+    Pass pass;
+    solver.set_output(&output);
+    EXPECT_TRUE(solver.initialize(0.0, y0).is_ok());
+    std::vector<double> y;
+    for (const double t : times) {
+      double value = 0.0;
+      const support::Status status = observed
+                                         ? solver.advance_to_observed(t, value)
+                                         : solver.advance_to(t, y);
+      EXPECT_TRUE(status.is_ok()) << status.to_string();
+      if (!status.is_ok()) break;
+      if (!observed) {
+        value = output.measure(y);
+        double scale = 0.0;
+        for (const auto& [index, weight] : output.weighted_species) {
+          scale += std::fabs(weight * y[index]);
+        }
+        pass.scales.push_back(scale);
+      }
+      pass.values.push_back(value);
+      if (solver.current_time() > t) ++pass.interior_records;
+    }
+    pass.stats = solver.stats();
+    return pass;
+  };
+
+  WarmStartProfile profile;
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    solver.set_warm_start(warm ? &profile : nullptr);
+    for (const Observable* output : {&spread, &crosslinks}) {
+      const Pass state = run(*output, false);
+      const Pass observed = run(*output, true);
+      if (!warm && output == &spread) solver.capture_warm_start(profile);
+      ASSERT_EQ(observed.values.size(), times.size());
+      ASSERT_EQ(state.values.size(), times.size());
+      expect_same_work(observed.stats, state.stats);
+      EXPECT_EQ(observed.interior_records, state.interior_records);
+      if (warm) {
+        EXPECT_EQ(observed.stats.warm_starts, 1u);
+        EXPECT_GT(observed.interior_records, times.size() / 2);
+      }
+      for (std::size_t j = 0; j < times.size(); ++j) {
+        if (output == &crosslinks) {
+          // One weight-1 term: the same operations in the same order.
+          EXPECT_EQ(observed.values[j], state.values[j]) << "record " << j;
+        } else {
+          EXPECT_NEAR(observed.values[j], state.values[j],
+                      1e-12 * state.scales[j])
+              << "record " << j;
+        }
+      }
+    }
+  }
+  solver.set_warm_start(nullptr);
+}
+
+TEST(AdamsGear, ObservedOutputRequiresAnInstalledOutput) {
+  AdamsGear solver(exponential_decay(1.0));
+  ASSERT_TRUE(solver.initialize(0.0, {1.0}).is_ok());
+  double value = 0.0;
+  EXPECT_EQ(solver.advance_to_observed(0.5, value).code(),
+            support::StatusCode::kFailedPrecondition);
+}
+
 // Property sweep: for both solvers, tightening the tolerance by 100x per
 // step must monotonically reduce the actual error on the oscillator.
 class ToleranceScaling
