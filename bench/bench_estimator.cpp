@@ -198,6 +198,8 @@ std::string run_json(const char* name, const RunResult& r) {
       .add("factorizations", r.stats.integration.factorizations)
       .add("factor_cache_hits", r.stats.integration.factor_cache_hits)
       .add("warm_start_hits", r.stats.integration.warm_starts)
+      .add("replayed_solves", r.stats.replayed_solves)
+      .add("replay_fallbacks", r.stats.replay_fallbacks)
       .str();
 }
 

@@ -168,13 +168,15 @@ int main() {
   const estimator::SolverStats& sstats = result->solver_stats;
   std::printf(
       "  solver: %zu solves, %zu steps, %zu Newton iterations, "
-      "%zu Jacobians, %zu factorizations (%zu reused), %zu warm starts\n\n",
+      "%zu Jacobians, %zu factorizations (%zu reused), %zu warm starts, "
+      "%zu replayed columns (%zu fell back)\n\n",
       sstats.solves, sstats.integration.steps,
       sstats.integration.newton_iterations,
       sstats.integration.jacobian_evaluations,
       sstats.integration.factorizations,
       sstats.integration.factor_cache_hits,
-      sstats.integration.warm_starts);
+      sstats.integration.warm_starts, sstats.replayed_solves,
+      sstats.replay_fallbacks);
 
   std::printf("%-12s %14s %14s %10s\n", "constant", "true A", "estimated A",
               "error");

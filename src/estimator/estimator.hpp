@@ -36,6 +36,9 @@ struct EstimatorOptions {
     // that floor keeps the Jacobian signal-dominated; 1e-7 (the analytic
     // default) would difference the solver noise instead.
     levmar.fd_relative_step = 1e-4;
+    // The same noise gives the fit a floor: once a step can move
+    // chi-square by less than 1, further iterations only fit solver noise.
+    levmar.cost_tolerance = 1.0;
   }
 };
 

@@ -66,6 +66,7 @@ ObjectiveFunction::ObjectiveFunction(const vm::Program& program,
     warm_valid_.assign(experiments_.size(), false);
     factor_caches_.resize(experiments_.size());
     new_factor_caches_.resize(experiments_.size());
+    recordings_.resize(experiments_.size());
   }
   if (options_.pool_workers > 0) {
     // cap_to_hardware=false: the pool exists for deterministic task-level
@@ -97,12 +98,10 @@ void ObjectiveFunction::rates_for(const linalg::Vector& x,
 Status ObjectiveFunction::solve_file(std::size_t file_index,
                                      const std::vector<double>& prefactors,
                                      SolveScratch& scratch,
-                                     const solver::WarmStartProfile* warm,
-                                     const solver::FactorCache* factors,
-                                     solver::WarmStartProfile* capture,
-                                     solver::FactorCache* factor_capture,
-                                     double* segment, double& solve_seconds,
-                                     solver::IntegrationStats& stats) const {
+                                     const SolveHooks& hooks, double* segment,
+                                     double& solve_seconds,
+                                     solver::IntegrationStats& stats,
+                                     Replay& replay) const {
   const Experiment& experiment = experiments_[file_index];
   support::WallTimer timer;
 
@@ -136,30 +135,52 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
   }
 
   solver::AdamsGear& integrator = *scratch.integrator;
-  integrator.set_warm_start(warm);
-  integrator.set_factor_cache(factors);
-  integrator.set_factor_recorder(factor_capture);
-  Status status = integrator.initialize(
-      experiment.data.times.empty()
-          ? 0.0
-          : std::min(0.0, experiment.data.times.front()),
-      experiment.initial_state);
-  if (status.is_ok()) {
-    for (std::size_t j = 0; j < experiment.data.record_count(); ++j) {
-      double simulated = 0.0;
-      status = integrator.advance_to_observed(experiment.data.times[j],
-                                              simulated);
-      if (!status.is_ok()) break;
-      segment[j] = simulated - experiment.data.values[j];
+  const auto integrate = [&](const solver::StepRecording* steps) {
+    // A replay takes its steps and factorizations from the recording, so
+    // it borrows nothing else and records nothing.
+    integrator.set_replay(steps);
+    if (steps == nullptr) {
+      integrator.set_warm_start(hooks.warm);
+      integrator.set_factor_cache(hooks.factors);
+      integrator.set_factor_recorder(hooks.factor_capture);
+      integrator.set_step_recorder(hooks.step_capture);
+    }
+    Status status = integrator.initialize(
+        experiment.data.times.empty()
+            ? 0.0
+            : std::min(0.0, experiment.data.times.front()),
+        experiment.initial_state);
+    if (status.is_ok()) {
+      for (std::size_t j = 0; j < experiment.data.record_count(); ++j) {
+        double simulated = 0.0;
+        status = integrator.advance_to_observed(experiment.data.times[j],
+                                                simulated);
+        if (!status.is_ok()) break;
+        segment[j] = simulated - experiment.data.values[j];
+      }
+    }
+    integrator.set_replay(nullptr);
+    integrator.set_warm_start(nullptr);
+    integrator.set_factor_cache(nullptr);
+    integrator.set_factor_recorder(nullptr);
+    integrator.set_step_recorder(nullptr);
+    return status;
+  };
+  replay = Replay::kNone;
+  Status status = integrate(hooks.replay);
+  stats = integrator.stats();
+  if (hooks.replay != nullptr) {
+    replay = status.is_ok() ? Replay::kReplayed : Replay::kFellBack;
+    if (!status.is_ok()) {
+      // The replay overwrote nothing it does not write again: every record
+      // is rewritten by the independent solve.
+      status = integrate(nullptr);
+      stats += integrator.stats();
     }
   }
-  integrator.set_warm_start(nullptr);
-  integrator.set_factor_cache(nullptr);
-  integrator.set_factor_recorder(nullptr);
-  if (status.is_ok() && capture != nullptr) {
-    integrator.capture_warm_start(*capture);
+  if (status.is_ok() && hooks.capture != nullptr) {
+    integrator.capture_warm_start(*hooks.capture);
   }
-  stats = integrator.stats();
   solve_seconds = timer.seconds();
   if (!status.is_ok()) {
     return Status(status.code(),
@@ -251,22 +272,31 @@ Status ObjectiveFunction::evaluate(const linalg::Vector& x,
   task_seconds_.assign(files, 0.0);
   task_stats_.assign(files, solver::IntegrationStats{});
   task_status_.assign(files, Status::ok());
+  task_replay_.assign(files, Replay::kNone);
+  // The recordings are rewritten below; they match x only once every file
+  // has solved.
+  recorded_x_.clear();
   run_tasks(files, file_times_, [&](std::size_t f) {
     SolveScratch& scratch = acquire_scratch();
-    const solver::WarmStartProfile* seed =
-        warm && warm_valid_[f] ? &warm_profiles_[f] : nullptr;
-    const solver::FactorCache* factors =
-        warm && !factor_caches_[f].empty() ? &factor_caches_[f] : nullptr;
-    solver::WarmStartProfile* capture = warm ? &new_profiles_[f] : nullptr;
-    solver::FactorCache* factor_capture =
-        warm ? &new_factor_caches_[f] : nullptr;
+    SolveHooks hooks;
+    if (warm) {
+      hooks.warm = warm_valid_[f] ? &warm_profiles_[f] : nullptr;
+      hooks.factors = factor_caches_[f].empty() ? nullptr : &factor_caches_[f];
+      hooks.capture = &new_profiles_[f];
+      hooks.factor_capture = &new_factor_caches_[f];
+      // Only a warm solve is recorded: a cold one clamps its steps to the
+      // record grid, far more steps than a replay should take.
+      recordings_[f].clear();
+      hooks.step_capture = hooks.warm != nullptr ? &recordings_[f] : nullptr;
+    }
     task_status_[f] =
-        solve_file(f, rates, scratch, seed, factors, capture, factor_capture,
+        solve_file(f, rates, scratch, hooks,
                    eval_segments_.data() + file_offsets_[f], task_seconds_[f],
-                   task_stats_[f]);
+                   task_stats_[f], task_replay_[f]);
     release_scratch(scratch);
   });
   RMS_RETURN_IF_ERROR(first_failure(task_status_));
+  if (warm) recorded_x_ = x;
   for (std::size_t f = 0; f < files; ++f) {
     const std::size_t count = experiments_[f].data.record_count();
     const double* segment = eval_segments_.data() + file_offsets_[f];
@@ -339,23 +369,28 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
   }
 
   const bool warm = options_.warm_start;
+  const bool replay = warm && !recorded_x_.empty() && recorded_x_ == x;
   task_status_.assign(tasks, Status::ok());
+  task_replay_.assign(tasks, Replay::kNone);
   run_tasks(tasks, predicted, [&](std::size_t t) {
     const std::size_t c = t / files;
     const std::size_t f = t % files;
     SolveScratch& scratch = acquire_scratch();
-    // Columns warm-start from the current iterate's base-solve profile and
+    // Columns replay the base solve's steps at this x when it recorded
+    // them. Otherwise they warm-start from the base-solve profile and
     // factorizations (the perturbation is tiny, so the base trajectory's
-    // step/order history and iteration matrices are near-perfect seeds) and
-    // never write either cache back.
-    const solver::WarmStartProfile* seed =
-        warm && warm_valid_[f] ? &warm_profiles_[f] : nullptr;
-    const solver::FactorCache* factors =
-        warm && !factor_caches_[f].empty() ? &factor_caches_[f] : nullptr;
+    // step/order history and iteration matrices are near-perfect seeds).
+    // Either way they never write a cache back.
+    SolveHooks hooks;
+    if (warm) {
+      hooks.warm = warm_valid_[f] ? &warm_profiles_[f] : nullptr;
+      hooks.factors = factor_caches_[f].empty() ? nullptr : &factor_caches_[f];
+      if (replay && !recordings_[f].empty()) hooks.replay = &recordings_[f];
+    }
     task_status_[t] = solve_file(
-        f, column_rates_[c], scratch, seed, factors, nullptr, nullptr,
+        f, column_rates_[c], scratch, hooks,
         jacobian_segments_.data() + c * total_records_ + file_offsets_[f],
-        task_seconds_[t], task_stats_[t]);
+        task_seconds_[t], task_stats_[t], task_replay_[t]);
     release_scratch(scratch);
   });
   // Task t is (column t / files, file t % files): the lowest failing task is
@@ -393,6 +428,8 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
   }
   for (std::size_t t = 0; t < tasks; ++t) {
     solver_stats_.solves += 1;
+    solver_stats_.replayed_solves += task_replay_[t] == Replay::kReplayed;
+    solver_stats_.replay_fallbacks += task_replay_[t] == Replay::kFellBack;
     solver_stats_.integration += task_stats_[t];
   }
   return Status::ok();

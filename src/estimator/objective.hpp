@@ -12,10 +12,13 @@
 // tasks. Tasks run longest-recorded-time-first (§4.4 LPT as a list
 // schedule) and commit into disjoint buffers that are reduced in file
 // order, so results are bit-identical for any worker count, and a failure
-// always reports the same file. Per-worker scratch (solver, VM registers, rate buffers) and
-// per-file warm-start profiles make the steady-state solve allocation-free
-// and skip the solver's cold-start ramp. Each file's ODE system comes from
-// codegen::make_ode_system, the builder rms::Execution uses too.
+// always reports the same file. Per-worker scratch (solver, VM registers,
+// rate buffers) and per-file warm-start profiles make the steady-state
+// solve allocation-free and skip the solver's cold-start ramp. A warm
+// sparse-LU evaluate() records each file's accepted steps, and the Jacobian
+// at the same x replays them for every column (AdamsGear::set_replay).
+// Each file's ODE system comes from codegen::make_ode_system, the builder
+// rms::Execution uses too.
 #pragma once
 
 #include <functional>
@@ -62,10 +65,15 @@ enum class ResidualLayout {
 };
 
 /// Aggregated Adams-Gear work over every per-file solve the objective ran,
-/// surfaced end-to-end into EstimationResult so warm-start and
-/// factorization savings are observable, not just believed.
+/// surfaced end-to-end into EstimationResult so warm-start, factorization
+/// and replay savings are observable, not just believed.
 struct SolverStats {
   std::size_t solves = 0;
+  /// Jacobian column solves that replayed their base solve's steps.
+  std::size_t replayed_solves = 0;
+  /// Column replays whose Newton iteration failed, solved again
+  /// independently (their work counts in `integration` twice over).
+  std::size_t replay_fallbacks = 0;
   solver::IntegrationStats integration;
 };
 
@@ -138,8 +146,13 @@ class ObjectiveFunction {
   /// contract): fills column j with (r(x + steps[j] e_j) - r) / steps[j],
   /// scheduling all (column, file) solves as one flat LPT-ordered task pool
   /// over the persistent workers (serially without a pool — identical
-  /// results either way). When solves fail, the error of the lowest
-  /// (column, file) task is returned, prefixed like evaluate()'s.
+  /// results either way). When the last evaluate() ran at this x and
+  /// recorded a file's steps (a warm solve on the sparse-LU path), that
+  /// file's column solves replay those steps, so every column differences
+  /// two solves on one grid; a replay whose Newton iteration fails, and
+  /// every other file, runs an independent solve. When solves fail, the
+  /// error of the lowest (column, file) task is returned, prefixed like
+  /// evaluate()'s.
   support::Status evaluate_jacobian(const linalg::Vector& x,
                                     const linalg::Vector& r,
                                     const linalg::Vector& steps,
@@ -171,24 +184,35 @@ class ObjectiveFunction {
  private:
   struct SolveScratch;
 
+  /// What one file solve reads besides the rates, and what it records;
+  /// any member may be null.
+  struct SolveHooks {
+    const solver::WarmStartProfile* warm = nullptr;
+    const solver::FactorCache* factors = nullptr;
+    /// Steps to replay; a failed replay falls back to a solve from `warm`
+    /// and `factors`.
+    const solver::StepRecording* replay = nullptr;
+    solver::WarmStartProfile* capture = nullptr;
+    solver::FactorCache* factor_capture = nullptr;
+    solver::StepRecording* step_capture = nullptr;
+  };
+
+  /// How a Jacobian column task ended, for SolverStats.
+  enum class Replay : std::uint8_t { kNone, kReplayed, kFellBack };
+
   /// Builds the full prefactor vector for parameter vector x.
   void rates_for(const linalg::Vector& x, std::vector<double>& rates) const;
 
   /// Solves one file and writes the residual of record j to segment[j]
-  /// (record_count entries); an error names the file. `warm` seeds the
-  /// solver and `factors` lends it reusable iteration-matrix factorizations
-  /// (either may be null); `capture` / `factor_capture` receive the
-  /// accepted-step profile and the factorizations this solve performed (may
-  /// be null).
+  /// (record_count entries); an error names the file. `hooks` seeds the
+  /// solver and receives what it records; `replay` reports whether the
+  /// solve replayed hooks.replay or fell back.
   support::Status solve_file(std::size_t file_index,
                              const std::vector<double>& prefactors,
-                             SolveScratch& scratch,
-                             const solver::WarmStartProfile* warm,
-                             const solver::FactorCache* factors,
-                             solver::WarmStartProfile* capture,
-                             solver::FactorCache* factor_capture,
+                             SolveScratch& scratch, const SolveHooks& hooks,
                              double* segment, double& solve_seconds,
-                             solver::IntegrationStats& stats) const;
+                             solver::IntegrationStats& stats,
+                             Replay& replay) const;
 
   SolveScratch& acquire_scratch();
   void release_scratch(SolveScratch& scratch);
@@ -229,10 +253,16 @@ class ObjectiveFunction {
   /// the sparse-LU cost from FD column solves.
   std::vector<solver::FactorCache> factor_caches_;
   std::vector<solver::FactorCache> new_factor_caches_;
+  /// Per-file accepted steps of the latest warm base evaluation, taken at
+  /// recorded_x_ (empty when that evaluation failed or recorded nothing):
+  /// what evaluate_jacobian at the same x replays.
+  std::vector<solver::StepRecording> recordings_;
+  linalg::Vector recorded_x_;
   std::vector<double> eval_segments_;      ///< evaluate(): per-file residuals
   std::vector<double> jacobian_segments_;  ///< evaluate_jacobian(): per (column, file)
   std::vector<double> task_seconds_;
   std::vector<solver::IntegrationStats> task_stats_;
+  std::vector<Replay> task_replay_;
   std::vector<support::Status> task_status_;
   std::vector<std::size_t> task_order_;
   std::vector<std::vector<double>> column_rates_;

@@ -94,8 +94,8 @@ support::Expected<LevMarResult> bounded_least_squares(
   // O(1) constants) take sensible steps. Scales only ever grow (MINPACK
   // convention), keeping the trust region stable.
   Vector scale(n, 0.0);
+  Vector j_dx(m);
   double lambda = options.initial_lambda;
-  int small_cost_reductions = 0;
   bool jacobian_valid = false;
 
   for (result.iterations = 0; result.iterations < options.max_iterations;
@@ -186,6 +186,14 @@ support::Expected<LevMarResult> bounded_least_squares(
       for (std::size_t j = 0; j < n; ++j) x_new[j] += dx[j];
       clamp_to_bounds(x_new, lower, upper);
 
+      // Reduction the Gauss-Newton model predicts for the damped step:
+      // 0.5 ||r||^2 - 0.5 ||r + J dx||^2.
+      jacobian.multiply(dx, j_dx);
+      double predicted_reduction = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        predicted_reduction -= r[i] * j_dx[i] + 0.5 * j_dx[i] * j_dx[i];
+      }
+
       // A trial point whose residuals fail (e.g. a stiff solve that cannot
       // finish there) is a rejected step, like a non-finite cost: a shorter
       // step may stay where the model still solves.
@@ -195,6 +203,18 @@ support::Expected<LevMarResult> bounded_least_squares(
       if (!trial.is_ok()) trial_error = trial;
       const double new_cost = trial.is_ok() ? cost_of(r_new) : HUGE_VAL;
 
+      // MINPACK's ftol test in chi-square units: cost / (m - n) estimates
+      // half the residual variance, so a reduction below cost_tolerance
+      // times that moves chi-square by less than cost_tolerance. When
+      // neither the model nor the trial finds that much, the fit sits at
+      // its noise floor whether or not this trial is accepted.
+      const double chi_square_unit =
+          m > n ? result.cost / static_cast<double>(m - n) : 0.0;
+      const double negligible = options.cost_tolerance * chi_square_unit;
+      const bool at_floor = negligible > 0.0 &&
+                            predicted_reduction <= negligible &&
+                            std::fabs(result.cost - new_cost) <= negligible;
+
       if (new_cost < result.cost && std::isfinite(new_cost)) {
         // Accept.
         double step_norm = 0.0;
@@ -203,8 +223,6 @@ support::Expected<LevMarResult> bounded_least_squares(
           step_norm += (x_new[j] - result.x[j]) * (x_new[j] - result.x[j]);
           x_norm += x_new[j] * x_new[j];
         }
-        const double relative_reduction =
-            (result.cost - new_cost) / std::max(result.cost, 1e-300);
         result.x = std::move(x_new);
         r = std::move(r_new);
         result.cost = new_cost;
@@ -217,20 +235,21 @@ support::Expected<LevMarResult> bounded_least_squares(
           result.converged = true;
           result.message = "step length below tolerance";
         }
-        if (relative_reduction < options.cost_tolerance) {
-          if (++small_cost_reductions >= 3) {
-            result.converged = true;
-            result.message = "cost reduction below tolerance";
-          }
-        } else {
-          small_cost_reductions = 0;
+        if (at_floor) {
+          result.converged = true;
+          result.message = "cost reduction below tolerance";
         }
+        break;
+      }
+      if (at_floor) {
+        result.converged = true;
+        result.message = "cost reduction below tolerance";
         break;
       }
       lambda *= options.lambda_grow;
     }
 
-    if (!step_accepted) {
+    if (!step_accepted && !result.converged) {
       result.converged = result.cost == 0.0;
       result.message = "lambda exceeded maximum without an acceptable step";
       if (!trial_error.is_ok()) {

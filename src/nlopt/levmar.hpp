@@ -29,7 +29,9 @@ using ResidualFunction =
 /// nonzero) perturbations `steps`; the *caller* owns how the n perturbed
 /// residual evaluations are computed — the parallel estimator schedules
 /// them as one flat pool of (column, data file) ODE solves instead of n
-/// serial objective calls.
+/// serial objective calls. The optimizer calls it only at the point whose
+/// residuals it evaluated last, so the hook may reuse what that evaluation
+/// recorded: the estimator replays the base ODE solves' steps.
 using JacobianFunction = std::function<support::Status(
     const linalg::Vector& x, const linalg::Vector& r,
     const linalg::Vector& steps, linalg::Matrix& jacobian)>;
@@ -40,8 +42,13 @@ struct LevMarOptions {
   double gradient_tolerance = 1e-8;
   /// Convergence: relative step length below this.
   double step_tolerance = 1e-12;
-  /// Convergence: relative cost reduction below this for 3 iterations.
-  double cost_tolerance = 1e-14;
+  /// Convergence (MINPACK's ftol test, in chi-square units): a trial
+  /// whose predicted and |actual| cost reductions are both at most
+  /// cost_tolerance * cost / (m - n) ends the fit, accepted if it lowered
+  /// the cost. cost / (m - n) is half the residual variance the fit
+  /// implies, so 1.0 stops once a step moves chi-square by less than 1.
+  /// 0 (the default) turns the test off.
+  double cost_tolerance = 0.0;
   double initial_lambda = 1e-3;
   double lambda_shrink = 1.0 / 3.0;
   double lambda_grow = 4.0;

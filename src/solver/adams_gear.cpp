@@ -37,9 +37,20 @@ constexpr double kWarmDriftBand = 0.5;
 // only its value arrays (nnz(L + U) doubles, sharing the pattern analysis
 // with the solver's own factorization) — ~70 KB for TC3 at 5% scale and
 // ~1.4 MB at full scale (n = 24,504) — and a well-behaved solve records ~10
-// rungs, so the cap only guards against reject storms.
+// rungs, so the cap only guards against reject storms. Step recordings
+// hold their factorizations themselves, so the cap never limits a replay.
 constexpr std::size_t kFactorCacheCap = 64;
 constexpr int kMaxNewtonIterations = 7;
+
+/// Warm-mode stale-d0 correction (CVODE's 2/(1+gamrat) scaling): the
+/// factored matrix is d0_old I - J but the residual uses the current d0,
+/// so each eigenmode of the update is off by (d0_old - l)/(d0 - l), a
+/// factor between 1 and d0_old/d0. Scaling the update by the harmonic
+/// midpoint keeps the modified Newton contraction healthy across the
+/// widened drift band without touching the fixed point.
+double stale_d0_relax(double d0, double factored_d0) {
+  return 2.0 / (1.0 + d0 / factored_d0);
+}
 constexpr int kMaxStepAttempts = 64;
 
 }  // namespace
@@ -66,6 +77,11 @@ support::Status AdamsGear::initialize(double t0, const std::vector<double>& y0) 
   if (history_.empty()) {
     history_.push_front(HistoryPoint{});
   }
+  if (replay_ != nullptr &&
+      (replay_->t0 != t0 || replay_->dimension != system_.dimension)) {
+    return support::invalid_argument(
+        "step recording does not start at this initial point");
+  }
   history_.front().t = t0;
   history_.front().y = y0;
   if (output_ != nullptr) history_.front().output = output_->measure(y0);
@@ -77,13 +93,22 @@ support::Status AdamsGear::initialize(double t0, const std::vector<double>& y0) 
   jacobian_fresh_ = false;
   has_factorization_ = false;
   active_sparse_lu_ = nullptr;
+  active_lu_record_.reset();
   if (factor_recorder_ != nullptr) factor_recorder_->clear();
+  if (step_recorder_ != nullptr) {
+    step_recorder_->clear();
+    step_recorder_->t0 = t0;
+    step_recorder_->dimension = system_.dimension;
+  }
+  replay_cursor_ = 0;
   profile_times_.clear();
   profile_steps_.clear();
   profile_orders_.clear();
   warm_cursor_ = 0;
 
-  if (options_.initial_step > 0.0) {
+  if (replay_ != nullptr) {
+    // The recording fixes every step; h is never read.
+  } else if (options_.initial_step > 0.0) {
     h_ = options_.initial_step;
   } else if (warm_ != nullptr && !warm_->empty()) {
     // Start with the largest step the previous solve accepted during its
@@ -290,9 +315,13 @@ bool AdamsGear::factor_sparse_iteration_matrix(double d0) {
   factored_d0_ = d0;
   has_factorization_ = true;
   active_sparse_lu_ = &sparse_lu_;
-  if (factor_recorder_ != nullptr &&
-      factor_recorder_->entries.size() < kFactorCacheCap) {
-    factor_recorder_->entries.push_back({d0, sparse_lu_});
+  if (factor_recorder_ != nullptr || step_recorder_ != nullptr) {
+    // Recorded factorizations outlive this solver's next refactor.
+    active_lu_record_ = std::make_shared<const linalg::SparseLu>(sparse_lu_);
+    if (factor_recorder_ != nullptr &&
+        factor_recorder_->entries.size() < kFactorCacheCap) {
+      factor_recorder_->entries.push_back({d0, active_lu_record_});
+    }
   }
   return true;
 }
@@ -311,17 +340,18 @@ bool AdamsGear::try_factor_cache(double d0) {
     }
   }
   if (best == nullptr) return false;
-  active_sparse_lu_ = &best->lu;
+  active_sparse_lu_ = best->lu.get();
+  active_lu_record_ = best->lu;
   factored_d0_ = best->d0;
   has_factorization_ = true;
   ++stats_.factor_cache_hits;
   if (factor_recorder_ != nullptr) {
-    // Re-record the reused rung so the recording stays a complete ladder
-    // for the next solve even when this one mostly hit the cache. A rung
-    // reused many times is recorded once (exact d0 match: copied doubles).
+    // Re-record the reused rung, shared rather than copied, so the
+    // recording stays a complete ladder for the next solve even when this
+    // one mostly hit the cache. A rung reused many times is recorded once.
     bool recorded = false;
     for (const FactorCache::Entry& e : factor_recorder_->entries) {
-      if (e.d0 == best->d0) {
+      if (e.lu == best->lu) {
         recorded = true;
         break;
       }
@@ -352,7 +382,7 @@ bool AdamsGear::factor_iteration_matrix(double d0) {
 support::Status AdamsGear::newton_solve(double t_new,
                                         const std::vector<double>& d,
                                         std::vector<double>& y,
-                                        bool& converged) {
+                                        double relax, bool& converged) {
   const std::size_t n = system_.dimension;
   const int q_points = static_cast<int>(d.size());  // unknown + history
   converged = false;
@@ -412,17 +442,7 @@ support::Status AdamsGear::newton_solve(double t_new,
     } else {
       lu_.solve(g_work_, delta_);
     }
-    // Warm-mode stale-d0 correction (CVODE's 2/(1+gamrat) scaling): the
-    // factored matrix is d0_old I - J but the residual uses the current d0,
-    // so each eigenmode of the update is off by (d0_old - l)/(d0 - l),
-    // a factor between 1 and d0_old/d0. Scaling the step by the harmonic
-    // midpoint keeps the modified Newton contraction healthy across the
-    // widened drift band without touching the fixed point.
-    const bool warm_assisted =
-        (warm_ != nullptr && !warm_->empty()) || factor_cache_ != nullptr;
-    if (warm_assisted && !matrix_free &&
-        has_factorization_ && factored_d0_ != d[0]) {
-      const double relax = 2.0 / (1.0 + d[0] / factored_d0_);
+    if (relax != 1.0) {
       for (std::size_t j = 0; j < n; ++j) delta_[j] *= relax;
     }
     for (std::size_t j = 0; j < n; ++j) y[j] += delta_[j];
@@ -500,10 +520,21 @@ support::Status AdamsGear::step() {
     // Predict, then correct by Newton. The predictor extrapolates through
     // order + 1 points when available: it then has the corrector's order,
     // so corrector - predictor estimates the local truncation term.
-    interpolate(t_new, y_pred_);
+    const int predictor_points = interpolation_points();
+    interpolate(t_new, predictor_points, y_pred_);
     y_new_ = y_pred_;
+    // Solves borrowing warm state relax each Newton update against a
+    // stale factored d0.
+    const bool warm_assisted = warm || factor_cache_ != nullptr;
+    const double relax =
+        warm_assisted &&
+                options_.newton_linear_solver !=
+                    NewtonLinearSolver::kMatrixFreeGmres &&
+                has_factorization_ && factored_d0_ != d[0]
+            ? stale_d0_relax(d[0], factored_d0_)
+            : 1.0;
     bool converged = false;
-    RMS_RETURN_IF_ERROR(newton_solve(t_new, d, y_new_, converged));
+    RMS_RETURN_IF_ERROR(newton_solve(t_new, d, y_new_, relax, converged));
     if (!converged) {
       // Retry once with a fresh Jacobian at the current state; afterwards
       // only a smaller step can help. (The matrix-free path has no Jacobian
@@ -550,16 +581,7 @@ support::Status AdamsGear::step() {
       profile_times_.push_back(t);
       profile_steps_.push_back(h_);
       profile_orders_.push_back(q);
-      HistoryPoint recycled;
-      if (history_.size() >=
-          static_cast<std::size_t>(options_.max_order) + 2) {
-        recycled = std::move(history_.back());
-        history_.pop_back();
-      }
-      recycled.t = t_new;
-      recycled.y.swap(y_new_);
-      if (output_ != nullptr) recycled.output = output_->measure(recycled.y);
-      history_.push_front(std::move(recycled));
+      push_history(t_new);
       ++stats_.steps;
       consecutive_rejects_ = 0;
       ++accepts_at_order_;
@@ -577,6 +599,10 @@ support::Status AdamsGear::step() {
           history_.size() > static_cast<std::size_t>(order_)) {
         ++order_;
         accepts_at_order_ = 0;
+      }
+      if (step_recorder_ != nullptr &&
+          options_.newton_linear_solver == NewtonLinearSolver::kSparseLu) {
+        record_step(t_new, predictor_points, relax);
       }
       // Warm solves let the error controller, not the conservative cold 4x
       // cap, limit step growth: the previous solve of this file already
@@ -616,17 +642,106 @@ support::Status AdamsGear::step() {
   return support::numeric_error("step repeatedly rejected");
 }
 
-int AdamsGear::interpolation_weights(double t) {
-  const int points = static_cast<int>(std::min<std::size_t>(
+void AdamsGear::push_history(double t_new) {
+  // Recycle the oldest history point's storage so the steady-state loop
+  // performs no allocation.
+  HistoryPoint recycled;
+  if (history_.size() >= static_cast<std::size_t>(options_.max_order) + 2) {
+    recycled = std::move(history_.back());
+    history_.pop_back();
+  }
+  recycled.t = t_new;
+  recycled.y.swap(y_new_);
+  if (output_ != nullptr) recycled.output = output_->measure(recycled.y);
+  history_.push_front(std::move(recycled));
+}
+
+void AdamsGear::record_step(double t_new, int predictor_points,
+                            double relax) {
+  StepRecording& out = *step_recorder_;
+  StepRecording::Step step;
+  step.t = t_new;
+  step.weights = out.weights.size();
+  step.weight_count = static_cast<int>(step_d_.size());
+  step.predictor_points = predictor_points;
+  step.output_points = interpolation_points();
+  step.lu = active_lu_record_;
+  step.factored_d0 = factored_d0_;
+  step.relaxed = relax != 1.0;
+  out.steps.push_back(std::move(step));
+  out.weights.insert(out.weights.end(), step_d_.begin(), step_d_.end());
+  // The accepted state is already the newest history point.
+  const std::vector<double>& y = history_.front().y;
+  const std::size_t n = system_.dimension;
+  const std::size_t offset = out.updates.size();
+  out.updates.resize(offset + n);
+  for (std::size_t j = 0; j < n; ++j) {
+    out.updates[offset + j] = static_cast<float>(y[j] - y_pred_[j]);
+  }
+}
+
+support::Status AdamsGear::replay_step() {
+  if (replay_cursor_ >= replay_->steps.size()) {
+    return support::numeric_error("step recording ends before the target");
+  }
+  const StepRecording::Step& step = replay_->steps[replay_cursor_];
+  const std::size_t n = system_.dimension;
+  const int history_points = static_cast<int>(history_.size());
+  // The recording indexes history points and flat buffers; check it
+  // against this integration before trusting it.
+  if (step.weight_count < 2 || step.weight_count - 1 > history_points ||
+      step.predictor_points < 1 || step.predictor_points > history_points ||
+      step.output_points < 1 ||
+      step.output_points > std::min(history_points + 1,
+                                    options_.max_order + 2) ||
+      step.weights + static_cast<std::size_t>(step.weight_count) >
+          replay_->weights.size() ||
+      (replay_cursor_ + 1) * n > replay_->updates.size() ||
+      step.lu == nullptr || !(step.t > history_.front().t)) {
+    return support::internal_error("step recording does not match the solve");
+  }
+  const double* weights = replay_->weights.data() + step.weights;
+  step_d_.assign(weights, weights + step.weight_count);
+
+  interpolate(step.t, step.predictor_points, y_pred_);
+  const float* update = replay_->updates.data() + replay_cursor_ * n;
+  y_new_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) y_new_[j] = y_pred_[j] + update[j];
+
+  active_sparse_lu_ = step.lu.get();
+  factored_d0_ = step.factored_d0;
+  has_factorization_ = true;
+  const double relax =
+      step.relaxed ? stale_d0_relax(step_d_[0], factored_d0_) : 1.0;
+  bool converged = false;
+  RMS_RETURN_IF_ERROR(newton_solve(step.t, step_d_, y_new_, relax, converged));
+  if (!converged) {
+    return support::numeric_error(support::str_format(
+        "replayed step %zu did not converge at t = %g", replay_cursor_,
+        step.t));
+  }
+  push_history(step.t);
+  ++stats_.steps;
+  ++replay_cursor_;
+  // Records up to the next step interpolate through output_points history
+  // points, as in the recorded solve.
+  order_ = step.output_points - 1;
+  return support::Status::ok();
+}
+
+int AdamsGear::interpolation_points() const {
+  return static_cast<int>(std::min<std::size_t>(
       history_.size(), static_cast<std::size_t>(order_) + 1));
+}
+
+void AdamsGear::interpolation_weights(double t, int points) {
   interp_nodes_.resize(points);
   for (int i = 0; i < points; ++i) interp_nodes_[i] = history_[i].t;
   fornberg_weights(t, interp_nodes_.data(), points, 0, interp_w_);
-  return points;
 }
 
-void AdamsGear::interpolate(double t, std::vector<double>& y_out) {
-  const int points = interpolation_weights(t);
+void AdamsGear::interpolate(double t, int points, std::vector<double>& y_out) {
+  interpolation_weights(t, points);
   const std::size_t n = system_.dimension;
   y_out.assign(n, 0.0);
   for (int i = 0; i < points; ++i) {
@@ -651,13 +766,18 @@ support::Status AdamsGear::advance(double t_target) {
   // refactorization on densely-sampled files.
   const bool warm = warm_ != nullptr && !warm_->empty();
   while (history_.front().t < t_target) {
-    if (!warm) {
-      // Do not overshoot the target by more than one step; clamp h so the
-      // final step lands close to it (interpolation covers the interior).
-      h_ = std::min(h_, std::max(t_target - history_.front().t,
-                                 options_.min_step));
+    if (replay_ != nullptr) {
+      RMS_RETURN_IF_ERROR(replay_step());
+    } else {
+      if (!warm) {
+        // Do not overshoot the target by more than one step; clamp h so
+        // the final step lands close to it (interpolation covers the
+        // interior).
+        h_ = std::min(h_, std::max(t_target - history_.front().t,
+                                   options_.min_step));
+      }
+      RMS_RETURN_IF_ERROR(step());
     }
-    RMS_RETURN_IF_ERROR(step());
     if (++steps > options_.max_steps_per_call) {
       return support::numeric_error("max_steps_per_call exceeded");
     }
@@ -671,7 +791,7 @@ support::Status AdamsGear::advance_to(double t_target,
   if (history_.front().t == t_target) {
     y_out = history_.front().y;
   } else {
-    interpolate(t_target, y_out);
+    interpolate(t_target, interpolation_points(), y_out);
   }
   return support::Status::ok();
 }
@@ -687,7 +807,8 @@ support::Status AdamsGear::advance_to_observed(double t_target,
     value = history_.front().output;
     return support::Status::ok();
   }
-  const int points = interpolation_weights(t_target);
+  const int points = interpolation_points();
+  interpolation_weights(t_target, points);
   value = 0.0;
   for (int i = 0; i < points; ++i) {
     value += interp_w_[i] * history_[i].output;

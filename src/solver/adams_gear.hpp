@@ -16,14 +16,30 @@
 // iteration with iteration matrix M = d_0 I - J, J a finite-difference
 // Jacobian that is reused across steps until convergence degrades.
 //
-// Warm starts: the parameter estimator re-solves each data file once per
-// finite-difference column per Levenberg-Marquardt iteration, at rate
-// constants that barely move between solves. A completed solve records its
+// Warm starts: the parameter estimator re-solves each data file at every
+// Levenberg-Marquardt trial point (and for every finite-difference column
+// it cannot replay, below), at rate constants that barely move between
+// solves. A completed solve records its
 // accepted step-size/order profile (capture_warm_start); a later solve of
 // the same file seeded with that profile (set_warm_start) skips the
 // conservative cold-start ramp — larger initial step, earlier order raises,
 // faster step growth toward the recorded profile — while the error
 // controller still validates every step, so accuracy is unchanged.
+//
+// Step replay (internal numerical differentiation, Bock 1981): a solve
+// with a step recorder installed (set_step_recorder) records every accepted
+// step: its time, BDF weights, the history points its predictor and the
+// records after it interpolate through, the factorization its Newton
+// iteration solved with, and its accepted update y_n - y_pred,n. A solve
+// with that recording installed (set_replay) takes exactly those steps: no
+// error test, no rejected step, no factorization. Each step's Newton
+// iteration starts from the replaying solve's own predictor plus the
+// recorded update. A finite-difference column replayed on its base solve's
+// steps therefore differences two solves on one grid, and so sees the
+// parameter change, not the step controller's noise. Replay needs the two
+// trajectories close enough for the recorded factorizations to converge:
+// a step whose Newton iteration fails ends the replay with an error, and
+// the caller solves adaptively instead.
 //
 // Observed output: the estimator compares one linear Observable with the
 // measured value at every record, several records per accepted step. With
@@ -38,6 +54,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -69,19 +86,49 @@ struct WarmStartProfile {
 /// perturbed at finite-difference magnitude) reuses the factors directly —
 /// the modified Newton corrector tolerates both the stale Jacobian and a
 /// bounded d0 mismatch — trading a few extra Newton iterations for
-/// refactorizations. An entry is a copy of the solver's SparseLu: it shares
-/// the pattern analysis and owns only the factor values. The cache also
-/// keeps FD column solves on the base solve's factors, which the fit's
-/// accuracy depends on (docs/estimator.md).
+/// refactorizations. Entries are immutable and shared: a rung reused from
+/// one recording is recorded again as the same object, and step recordings
+/// point at the same factorizations.
 struct FactorCache {
   struct Entry {
     double d0 = 0.0;
-    linalg::SparseLu lu;
+    std::shared_ptr<const linalg::SparseLu> lu;
   };
   std::vector<Entry> entries;
 
   [[nodiscard]] bool empty() const { return entries.empty(); }
   void clear() { entries.clear(); }
+};
+
+/// The accepted steps of one sparse-LU solve, in order, for a replay on a
+/// nearby trajectory (AdamsGear::set_replay). The weights and updates live
+/// in flat buffers that clear() empties without releasing, so a recording
+/// reused across solves stops allocating once it has seen its longest one.
+struct StepRecording {
+  struct Step {
+    double t = 0.0;  ///< time the step reached
+    std::size_t weights = 0;  ///< offset of its BDF weights in `weights`
+    int weight_count = 0;  ///< d_0 .. d_q: the unknown plus q history points
+    int predictor_points = 0;  ///< history points the predictor used
+    int output_points = 0;  ///< history points records after it interpolate
+    /// The factorization its Newton iteration solved with, that
+    /// factorization's d0, and whether the stale-d0 relax factor applied.
+    std::shared_ptr<const linalg::SparseLu> lu;
+    double factored_d0 = 0.0;
+    bool relaxed = false;
+  };
+  double t0 = 0.0;
+  std::size_t dimension = 0;
+  std::vector<Step> steps;
+  std::vector<double> weights;  ///< every step's BDF weights, flat
+  std::vector<float> updates;   ///< y_n - y_pred,n, dimension per step
+
+  [[nodiscard]] bool empty() const { return steps.empty(); }
+  void clear() {
+    steps.clear();
+    weights.clear();
+    updates.clear();
+  }
 };
 
 class AdamsGear final : public OdeSolver {
@@ -128,6 +175,19 @@ class AdamsGear final : public OdeSolver {
   /// ladder for the trajectory. nullptr (the default) disables recording.
   void set_factor_recorder(FactorCache* out) { factor_recorder_ = out; }
 
+  /// Records the accepted steps of subsequent integrations into `out`
+  /// (cleared on initialize; sparse-LU path only, other paths record
+  /// nothing). nullptr (the default) disables recording.
+  void set_step_recorder(StepRecording* out) { step_recorder_ = out; }
+
+  /// Borrows a recording that subsequent integrations replay instead of
+  /// stepping adaptively (see the file comment). initialize() fails when the
+  /// recording starts elsewhere or has another dimension; advancing fails
+  /// when a replayed Newton iteration does not converge or the recording
+  /// ends before the target. nullptr (the default) restores adaptive
+  /// stepping. The recording must outlive the integration.
+  void set_replay(const StepRecording* recording) { replay_ = recording; }
+
   /// Borrows the linear output advance_to_observed reports. Install it
   /// before initialize(): from then on every point entering the history
   /// (y0, then each accepted step) stores its projection. nullptr (the
@@ -145,8 +205,16 @@ class AdamsGear final : public OdeSolver {
   /// loop shared by advance_to and advance_to_observed.
   support::Status advance(double t_target);
   support::Status step();
+  /// Takes the next recorded step of replay_.
+  support::Status replay_step();
+  /// Pushes y_new_ at t_new as the newest history point.
+  void push_history(double t_new);
+  /// Appends the step just accepted at t_new to step_recorder_.
+  void record_step(double t_new, int predictor_points, double relax);
+  /// Modified Newton on the corrector; each update is scaled by `relax`.
   support::Status newton_solve(double t_new, const std::vector<double>& d,
-                               std::vector<double>& y, bool& converged);
+                               std::vector<double>& y, double relax,
+                               bool& converged);
   void compute_jacobian(double t, const std::vector<double>& y);
   bool factor_iteration_matrix(double d0);
   void compute_sparse_jacobian(double t, const std::vector<double>& y);
@@ -156,12 +224,15 @@ class AdamsGear final : public OdeSolver {
   bool try_factor_cache(double d0);
   bool iteration_structure_matches() const;
   void build_iteration_structure();
-  /// Fornberg weights at t over the newest min(history, order + 1) points
-  /// into interp_w_; returns the number of points.
-  int interpolation_weights(double t);
-  /// State at t through the interpolation_weights points: dense output
+  /// History points interpolation runs through at the current order:
+  /// min(history, order + 1).
+  [[nodiscard]] int interpolation_points() const;
+  /// Fornberg weights at t over the newest `points` history points into
+  /// interp_w_.
+  void interpolation_weights(double t, int points);
+  /// State at t through the newest `points` history points: dense output
   /// inside the newest step, and the predictor when t lies beyond it.
-  void interpolate(double t, std::vector<double>& y_out);
+  void interpolate(double t, int points, std::vector<double>& y_out);
   /// Profile entry in effect at time t (monotone cursor; t must not
   /// decrease between calls within one integration).
   std::size_t warm_index_at(double t);
@@ -183,8 +254,14 @@ class AdamsGear final : public OdeSolver {
   /// The factorization Newton solves with: &sparse_lu_ after an own
   /// factorization, or a borrowed FactorCache entry after a cache hit.
   const linalg::SparseLu* active_sparse_lu_ = nullptr;
+  /// Owner of the active factorization while recording: a shared copy of
+  /// sparse_lu_ after an own factorization, the entry's after a cache hit.
+  std::shared_ptr<const linalg::SparseLu> active_lu_record_;
   const FactorCache* factor_cache_ = nullptr;
   FactorCache* factor_recorder_ = nullptr;
+  StepRecording* step_recorder_ = nullptr;
+  const StepRecording* replay_ = nullptr;
+  std::size_t replay_cursor_ = 0;
   double factored_d0_ = 0.0;
   bool has_factorization_ = false;
   bool jacobian_fresh_ = false;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "codegen/bytecode_emitter.hpp"
@@ -378,6 +379,208 @@ TEST(Objective, PoolBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+/// Objectives for the column-replay tests: three files of TinyModel on the
+/// sparse-LU path (the only one that records steps), warm-started.
+struct ReplayFixture {
+  TinyModel model;
+
+  std::vector<Experiment> experiments() {
+    std::vector<Experiment> out;
+    out.push_back(model.make_experiment(1.0, 50));
+    out.push_back(model.make_experiment(0.5, 30));
+    out.push_back(model.make_experiment(0.25, 20));
+    return out;
+  }
+
+  std::unique_ptr<ObjectiveFunction> make(int workers = 0) {
+    ObjectiveOptions options;
+    options.pool_workers = workers;
+    options.warm_start = true;
+    options.dynamic_load_balancing = true;
+    options.compiled_jacobian = &model.jacobian;
+    return std::make_unique<ObjectiveFunction>(
+        model.program, model.observable, experiments(),
+        std::vector<std::uint32_t>{0, 1}, model.true_rates, options);
+  }
+
+  /// Column c of the independent-solve Jacobian at x after evaluating
+  /// `history` in order: a fresh objective evaluates the history, then
+  /// x + steps[c] e_c. That solve is seeded exactly like an independent
+  /// column solve (the last evaluation's profile and factorizations).
+  linalg::Vector independent_column(const std::vector<linalg::Vector>& history,
+                                    const linalg::Vector& x,
+                                    const linalg::Vector& r,
+                                    const linalg::Vector& steps,
+                                    std::size_t c) {
+    auto objective = make();
+    linalg::Vector scratch;
+    for (const linalg::Vector& point : history) {
+      EXPECT_TRUE(objective->evaluate(point, scratch).is_ok());
+    }
+    linalg::Vector x_pert = x;
+    x_pert[c] += steps[c];
+    linalg::Vector r_pert;
+    EXPECT_TRUE(objective->evaluate(x_pert, r_pert).is_ok());
+    linalg::Vector column(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      column[i] = (r_pert[i] - r[i]) * (1.0 / steps[c]);
+    }
+    return column;
+  }
+};
+
+TEST(Objective, ReplayBitIdenticalAcrossWorkerCounts) {
+  // The sparse-LU twin of PoolBitIdenticalAcrossWorkerCounts: the second
+  // evaluation is warm and records its steps, and the Jacobian at the same
+  // x replays them. r and J must agree to the bit for any worker count.
+  ReplayFixture fixture;
+  struct Run {
+    linalg::Vector r;
+    linalg::Matrix jacobian{0, 0};
+    SolverStats stats;
+  };
+  auto run = [&](int workers) {
+    auto objective = fixture.make(workers);
+    Run out;
+    out.jacobian = linalg::Matrix(objective->residual_size(), 2);
+    EXPECT_TRUE(objective->evaluate({1.0, 0.5}, out.r).is_ok());
+    EXPECT_TRUE(objective->evaluate({1.1, 0.45}, out.r).is_ok());
+    const linalg::Vector steps = {1.1e-4, 4.5e-5};
+    EXPECT_TRUE(
+        objective->evaluate_jacobian({1.1, 0.45}, out.r, steps, out.jacobian)
+            .is_ok());
+    out.stats = objective->solver_stats();
+    return out;
+  };
+  const Run baseline = run(0);
+  EXPECT_EQ(baseline.stats.replayed_solves, 6u);  // 2 columns x 3 files
+  EXPECT_EQ(baseline.stats.replay_fallbacks, 0u);
+  for (int workers : {1, 2, 8}) {
+    const Run other = run(workers);
+    ASSERT_EQ(other.r.size(), baseline.r.size());
+    for (std::size_t i = 0; i < baseline.r.size(); ++i) {
+      EXPECT_EQ(other.r[i], baseline.r[i]) << "worker count " << workers;
+    }
+    for (std::size_t i = 0; i < baseline.jacobian.rows(); ++i) {
+      for (std::size_t j = 0; j < baseline.jacobian.cols(); ++j) {
+        EXPECT_EQ(other.jacobian(i, j), baseline.jacobian(i, j))
+            << "worker count " << workers;
+      }
+    }
+    EXPECT_EQ(other.stats.replayed_solves, baseline.stats.replayed_solves);
+    EXPECT_EQ(other.stats.integration.newton_iterations,
+              baseline.stats.integration.newton_iterations);
+  }
+}
+
+TEST(Objective, ReplayedColumnsTrackCentralDifferences) {
+  // Derivative oracle: central differences of cold solves at rtol 1e-10.
+  // Forward differences at the estimator's 1e-4 relative step carry an
+  // O(1e-4) truncation error either way; on top of that the independent
+  // columns difference two differently stepped solves at rtol 1e-6, the
+  // replayed ones two solves on one grid. Bound: the largest entry error
+  // within 1e-3 of the largest entry (measured: 3.3e-4 replayed, 4.8e-3
+  // independent).
+  ReplayFixture fixture;
+  const linalg::Vector x0 = {1.0, 0.5};
+  const linalg::Vector x = {1.1, 0.45};
+  const linalg::Vector steps = {1.1e-4, 4.5e-5};
+  auto objective = fixture.make();
+  linalg::Vector r;
+  ASSERT_TRUE(objective->evaluate(x0, r).is_ok());
+  ASSERT_TRUE(objective->evaluate(x, r).is_ok());
+  const std::size_t m = r.size();
+  linalg::Matrix replayed(m, 2);
+  ASSERT_TRUE(objective->evaluate_jacobian(x, r, steps, replayed).is_ok());
+  ASSERT_EQ(objective->solver_stats().replayed_solves, 6u);
+
+  ObjectiveOptions tight;
+  tight.integration.relative_tolerance = 1e-10;
+  tight.integration.absolute_tolerance = 1e-14;
+  ObjectiveFunction reference(fixture.model.program, fixture.model.observable,
+                              fixture.experiments(), {0, 1},
+                              fixture.model.true_rates, tight);
+  double replayed_error = 0.0;
+  double independent_error = 0.0;
+  double scale = 0.0;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const double h = 1e-3 * x[c];
+    linalg::Vector plus = x;
+    linalg::Vector minus = x;
+    plus[c] += h;
+    minus[c] -= h;
+    linalg::Vector r_plus;
+    linalg::Vector r_minus;
+    ASSERT_TRUE(reference.evaluate(plus, r_plus).is_ok());
+    ASSERT_TRUE(reference.evaluate(minus, r_minus).is_ok());
+    const linalg::Vector independent =
+        fixture.independent_column({x0, x}, x, r, steps, c);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double exact = (r_plus[i] - r_minus[i]) / (2.0 * h);
+      scale = std::max(scale, std::fabs(exact));
+      replayed_error =
+          std::max(replayed_error, std::fabs(replayed(i, c) - exact));
+      independent_error =
+          std::max(independent_error, std::fabs(independent[i] - exact));
+    }
+  }
+  ASSERT_GT(scale, 0.0);
+  EXPECT_LE(replayed_error, 1e-3 * scale);
+  EXPECT_LE(replayed_error, independent_error);
+}
+
+TEST(Objective, JacobianAwayFromLastEvaluationSolvesColumnsIndependently) {
+  // The recording belongs to the last evaluated point; a Jacobian anywhere
+  // else must be exactly the independent-column one.
+  ReplayFixture fixture;
+  const std::vector<linalg::Vector> history = {{1.0, 0.5}, {1.05, 0.48}};
+  const linalg::Vector x = {1.1, 0.45};
+  const linalg::Vector steps = {1.1e-4, 4.5e-5};
+  auto objective = fixture.make();
+  linalg::Vector r;
+  for (const linalg::Vector& point : history) {
+    ASSERT_TRUE(objective->evaluate(point, r).is_ok());
+  }
+  linalg::Matrix jacobian(r.size(), 2);
+  ASSERT_TRUE(objective->evaluate_jacobian(x, r, steps, jacobian).is_ok());
+  EXPECT_EQ(objective->solver_stats().replayed_solves, 0u);
+  EXPECT_EQ(objective->solver_stats().replay_fallbacks, 0u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const linalg::Vector column =
+        fixture.independent_column(history, x, r, steps, c);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      EXPECT_EQ(jacobian(i, c), column[i]) << "row " << i << " column " << c;
+    }
+  }
+}
+
+TEST(Objective, FailedReplayFallsBackToIndependentColumns) {
+  // Steps this large move the trajectory far enough from the recorded one
+  // that a replayed Newton iteration no longer converges on the recorded
+  // factorizations; those columns must come out exactly as independent
+  // solves.
+  ReplayFixture fixture;
+  const std::vector<linalg::Vector> history = {{1.0, 0.5}, {1.1, 0.45}};
+  const linalg::Vector& x = history.back();
+  const linalg::Vector steps = {30.0, 20.0};
+  auto objective = fixture.make();
+  linalg::Vector r;
+  for (const linalg::Vector& point : history) {
+    ASSERT_TRUE(objective->evaluate(point, r).is_ok());
+  }
+  linalg::Matrix jacobian(r.size(), 2);
+  ASSERT_TRUE(objective->evaluate_jacobian(x, r, steps, jacobian).is_ok());
+  EXPECT_EQ(objective->solver_stats().replay_fallbacks, 6u);
+  EXPECT_EQ(objective->solver_stats().replayed_solves, 0u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const linalg::Vector column =
+        fixture.independent_column(history, x, r, steps, c);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      EXPECT_EQ(jacobian(i, c), column[i]) << "row " << i << " column " << c;
+    }
+  }
+}
+
 TEST(Estimator, PoolAndWarmStartDeterministicEndToEnd) {
   TinyModel model;
   auto run = [&](int workers) {
@@ -406,6 +609,7 @@ TEST(Estimator, PoolAndWarmStartDeterministicEndToEnd) {
   EXPECT_GT(baseline.solver_stats.solves, 0u);
   EXPECT_GT(baseline.solver_stats.integration.warm_starts, 0u);
   EXPECT_GT(baseline.solver_stats.integration.factor_cache_hits, 0u);
+  EXPECT_GT(baseline.solver_stats.replayed_solves, 0u);
   for (int workers : {1, 2, 8}) {
     const EstimationResult other = run(workers);
     // Bit-identical optimization trajectory for any worker count.
@@ -426,6 +630,78 @@ TEST(Estimator, PoolAndWarmStartDeterministicEndToEnd) {
               baseline.solver_stats.integration.factor_cache_hits);
     EXPECT_EQ(other.solver_stats.integration.factorizations,
               baseline.solver_stats.integration.factorizations);
+    EXPECT_EQ(other.solver_stats.replayed_solves,
+              baseline.solver_stats.replayed_solves);
+    EXPECT_EQ(other.solver_stats.replay_fallbacks,
+              baseline.solver_stats.replay_fallbacks);
+  }
+}
+
+/// Four noisy files on the warm sparse-LU path: the fit has a noise floor
+/// and its Jacobians replay.
+std::unique_ptr<ObjectiveFunction> noisy_objective(TinyModel& model) {
+  std::vector<Experiment> experiments;
+  for (int i = 0; i < 4; ++i) {
+    experiments.push_back(
+        model.make_experiment(0.5 + 0.3 * i, 120, 0.005, 100 + i));
+  }
+  ObjectiveOptions options;
+  options.warm_start = true;
+  options.compiled_jacobian = &model.jacobian;
+  return std::make_unique<ObjectiveFunction>(
+      model.program, model.observable, std::move(experiments),
+      std::vector<std::uint32_t>{0, 1}, model.true_rates, options);
+}
+
+TEST(Estimator, NoisyFitStopsAtChiSquareFloor) {
+  // EstimatorOptions turns the chi-square stop on: once a step moves
+  // chi-square by less than 1, the fit ends as converged instead of
+  // growing lambda toward max_lambda on noise.
+  TinyModel model;
+  auto objective = noisy_objective(model);
+  EstimatorOptions options;
+  options.levmar.max_iterations = 50;
+  auto result = estimate_parameters(*objective, {2.0, 0.2}, {0.01, 0.01},
+                                    {10.0, 10.0}, options);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_TRUE(result->converged);
+  EXPECT_EQ(result->message, "cost reduction below tolerance");
+  EXPECT_LT(result->iterations, options.levmar.max_iterations);
+  EXPECT_NEAR(result->rate_constants[0], model.true_rates[0], 0.05);
+  EXPECT_NEAR(result->rate_constants[1], model.true_rates[1], 0.05);
+  EXPECT_GT(result->solver_stats.replayed_solves, 0u);
+}
+
+TEST(Estimator, StopsAtSameIterationAsBoundedLeastSquares) {
+  // estimate_parameters is bounded_least_squares over the objective's two
+  // hooks with EstimatorOptions::levmar; called either way, the fit must
+  // take the same path and stop at the same iteration.
+  TinyModel model;
+  const EstimatorOptions options;
+  auto direct_objective = noisy_objective(model);
+  auto estimated = estimate_parameters(*direct_objective, {2.0, 0.2},
+                                       {0.01, 0.01}, {10.0, 10.0}, options);
+  ASSERT_TRUE(estimated.is_ok());
+
+  auto objective = noisy_objective(model);
+  auto residual_fn = [&](const linalg::Vector& x, linalg::Vector& r) {
+    return objective->evaluate(x, r);
+  };
+  auto jacobian_fn = [&](const linalg::Vector& x, const linalg::Vector& r,
+                         const linalg::Vector& steps,
+                         linalg::Matrix& jacobian) {
+    return objective->evaluate_jacobian(x, r, steps, jacobian);
+  };
+  auto lm = nlopt::bounded_least_squares(
+      residual_fn, jacobian_fn, objective->residual_size(), {2.0, 0.2},
+      {0.01, 0.01}, {10.0, 10.0}, options.levmar);
+  ASSERT_TRUE(lm.is_ok());
+  EXPECT_EQ(lm->iterations, estimated->iterations);
+  EXPECT_EQ(lm->message, estimated->message);
+  EXPECT_EQ(lm->converged, estimated->converged);
+  EXPECT_EQ(lm->cost, estimated->final_cost);
+  for (std::size_t i = 0; i < lm->x.size(); ++i) {
+    EXPECT_EQ(lm->x[i], estimated->rate_constants[i]);
   }
 }
 
@@ -446,8 +722,10 @@ TEST(Estimator, SurfacesSolverStats) {
   EXPECT_GT(stats.integration.newton_iterations, 0u);
   EXPECT_GT(stats.integration.jacobian_evaluations, 0u);
   EXPECT_GT(stats.integration.factorizations, 0u);
-  // No warm starting requested: the counter must stay zero.
+  // No warm starting requested: the counters must stay zero.
   EXPECT_EQ(stats.integration.warm_starts, 0u);
+  EXPECT_EQ(stats.replayed_solves, 0u);
+  EXPECT_EQ(stats.replay_fallbacks, 0u);
 }
 
 }  // namespace

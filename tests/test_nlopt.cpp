@@ -218,6 +218,52 @@ TEST(LevMar, ExhaustedLambdaNamesLastTrialError) {
       << result->message;
 }
 
+TEST(LevMar, ChiSquareStopEndsNoisyFit) {
+  // y = 2.5 exp(-1.3 t) plus uniform noise: the fit has a noise floor.
+  // With cost_tolerance = 1 it stops once a step moves chi-square by less
+  // than 1, at the constants the untested fit reaches too; with the default
+  // 0 the test never fires.
+  support::Xoshiro256 rng(5);
+  std::vector<double> ts;
+  std::vector<double> ys;
+  for (int i = 0; i <= 40; ++i) {
+    const double t = 0.05 * i;
+    ts.push_back(t);
+    ys.push_back(2.5 * std::exp(-1.3 * t) + rng.uniform(-0.01, 0.01));
+  }
+  auto residuals = [&](const Vector& x, Vector& r) -> Status {
+    r.resize(ts.size());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      r[i] = x[0] * std::exp(-x[1] * ts[i]) - ys[i];
+    }
+    return Status::ok();
+  };
+  const Vector lower = {0.1, 0.1};
+  const Vector upper = {10, 10};
+  LevMarOptions options;
+  options.max_iterations = 100;
+  const auto untested =
+      bounded_least_squares(residuals, ts.size(), {1.0, 1.0}, lower, upper,
+                            options);
+  ASSERT_TRUE(untested.is_ok());
+  EXPECT_NE(untested->message, "cost reduction below tolerance");
+
+  options.cost_tolerance = 1.0;
+  const auto stopped =
+      bounded_least_squares(residuals, ts.size(), {1.0, 1.0}, lower, upper,
+                            options);
+  ASSERT_TRUE(stopped.is_ok());
+  EXPECT_TRUE(stopped->converged);
+  EXPECT_EQ(stopped->message, "cost reduction below tolerance");
+  EXPECT_LT(stopped->iterations, options.max_iterations);
+  // Within chi-square 1 of the minimum: the cost is above it by at most
+  // cost / (m - n), and the constants agree well inside their noise.
+  EXPECT_LE(stopped->cost - untested->cost,
+            untested->cost / static_cast<double>(ts.size() - 2));
+  EXPECT_NEAR(stopped->x[0], untested->x[0], 1e-3);
+  EXPECT_NEAR(stopped->x[1], untested->x[1], 1e-3);
+}
+
 // Property sweep: random well-conditioned linear problems are solved to
 // near-exactness from random starts.
 class LevMarProperty : public ::testing::TestWithParam<std::uint64_t> {};

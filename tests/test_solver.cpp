@@ -317,6 +317,72 @@ TEST(AdamsGear, WarmStartMatchesColdAccuracyOverRecordGrid) {
   EXPECT_NEAR(y_warm[0] + y_warm[1] + y_warm[2], 1.0, 1e-6);
 }
 
+/// Stiff linear cascade A -1e3-> B -1-> C with its constant CSR Jacobian.
+OdeSystem sparse_linear_cascade() {
+  OdeSystem system;
+  system.dimension = 3;
+  system.rhs = [](double, const double* y, double* ydot) {
+    ydot[0] = -1.0e3 * y[0];
+    ydot[1] = 1.0e3 * y[0] - y[1];
+    ydot[2] = y[1];
+  };
+  system.sparse_jacobian = [](double, const double*, linalg::CsrMatrix& out) {
+    out.rows = out.cols = 3;
+    out.row_offsets = {0, 1, 3, 4};
+    out.col_indices = {0, 0, 1, 1};
+    out.values = {-1.0e3, 1.0e3, -1.0, 1.0};
+  };
+  return system;
+}
+
+TEST(AdamsGear, ReplayRetracesRecordedSteps) {
+  IntegrationOptions options;
+  options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
+  AdamsGear solver(sparse_linear_cascade(), options);
+  const std::vector<double> y0 = {1.0, 0.0, 0.0};
+
+  auto run_grid = [&](std::vector<double>& y_final) {
+    auto status = solver.initialize(0.0, y0);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    for (int j = 1; j <= 24; ++j) {
+      status = solver.advance_to(5.0 * j / 24.0, y_final);
+      ASSERT_TRUE(status.is_ok()) << status.to_string();
+    }
+  };
+
+  StepRecording recording;
+  solver.set_step_recorder(&recording);
+  std::vector<double> y_recorded;
+  run_grid(y_recorded);
+  const IntegrationStats recorded = solver.stats();
+  solver.set_step_recorder(nullptr);
+  ASSERT_EQ(recording.steps.size(), recorded.steps);
+  EXPECT_EQ(recording.updates.size(), 3 * recorded.steps);
+  EXPECT_GT(recorded.factorizations, 1u);
+
+  // Replaying the same system takes the same steps with no error test, no
+  // rejection and no factorization, and lands on the recorded solution to
+  // within the Newton tolerance.
+  solver.set_replay(&recording);
+  std::vector<double> y_replayed;
+  run_grid(y_replayed);
+  const IntegrationStats replayed = solver.stats();
+  EXPECT_EQ(replayed.steps, recorded.steps);
+  EXPECT_EQ(replayed.rejected_steps, 0u);
+  EXPECT_EQ(replayed.factorizations, 0u);
+  EXPECT_EQ(replayed.jacobian_evaluations, 0u);
+  EXPECT_LT(replayed.newton_iterations, recorded.newton_iterations);
+  for (int i = 0; i < 3; ++i) {
+    const double bound = options.relative_tolerance * std::fabs(y_recorded[i]) +
+                         options.absolute_tolerance;
+    EXPECT_NEAR(y_replayed[i], y_recorded[i], bound) << "component " << i;
+  }
+
+  // A recording replays only from its own initial point.
+  EXPECT_FALSE(solver.initialize(1.0, y0).is_ok());
+  solver.set_replay(nullptr);
+}
+
 TEST(AdamsGear, FactorCacheReuseCutsFactorizations) {
   IntegrationOptions options;
   options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
