@@ -1,19 +1,16 @@
-// Estimator throughput benchmark: the persistent-pool + warm-start layer
-// against the seed's serial estimation path.
+// Estimator throughput benchmark: the persistent pool and the batched
+// Jacobian against the seed's serial estimation path.
 //
 // One full bounded Levenberg-Marquardt estimation (TC3-scale model, several
-// synthetic experiment files of different lengths) runs in three
+// synthetic experiment files of different lengths) runs in two
 // configurations:
-//   serial — the pre-PR path: sequential objective, serial per-column
-//            forward-difference Jacobian (one evaluate() per column), cold
-//            solves, a fresh solver per solve;
+//   serial — the seed path: sequential objective, serial per-column
+//            forward-difference Jacobian (one evaluate() per column);
 //   pooled — the persistent worker pool with the batched (column x file)
-//            Jacobian task pool and reusable per-worker scratch;
-//   warm   — pooled plus per-file warm-started solves (FD columns seeded
-//            from the same iterate's base-solve step/order profile).
+//            Jacobian task pool, whose columns replay the base solve's
+//            steps, and reusable per-worker scratch.
 //
-// All configurations must land on the same final cost (the solver's error
-// controller still validates every warm-started step), so the reported
+// Both configurations must land on the same final cost, so the reported
 // speedup is a pure throughput win, not an accuracy trade. The check and
 // the timings go to BENCH_estimator.json.
 //
@@ -21,7 +18,7 @@
 //   --scale=F      fraction of TC3's equation count (default 0.05)
 //   --files=N      synthetic experiment files (default 6)
 //   --records=N    records in the shortest file (default 24)
-//   --workers=N    pool workers for pooled/warm (default 2)
+//   --workers=N    pool workers for pooled (default 2)
 //   --max-iters=N  LM iteration cap (default 10; CI smoke uses 1)
 //   --json=PATH    output path (default BENCH_estimator.json)
 #include <cmath>
@@ -122,7 +119,7 @@ nlopt::LevMarOptions lm_options(std::size_t max_iters) {
 }
 
 /// The seed path: no Jacobian hook (serial per-column FD through
-/// evaluate()), sequential objective, cold solves.
+/// evaluate()), sequential objective.
 RunResult run_serial(const Problem& p, std::size_t max_iters) {
   estimator::ObjectiveOptions options;
   options.compiled_jacobian = p.exec.compiled_jacobian();
@@ -152,12 +149,10 @@ RunResult run_serial(const Problem& p, std::size_t max_iters) {
   return result;
 }
 
-RunResult run_pooled(const Problem& p, int workers, bool warm,
-                     std::size_t max_iters) {
+RunResult run_pooled(const Problem& p, int workers, std::size_t max_iters) {
   estimator::ObjectiveOptions options;
   options.compiled_jacobian = p.exec.compiled_jacobian();
   options.pool_workers = workers;
-  options.warm_start = warm;
   options.dynamic_load_balancing = true;
   estimator::ObjectiveFunction objective(p.model.program_optimized,
                                          p.observable, p.experiments, p.slots,
@@ -196,16 +191,14 @@ std::string run_json(const char* name, const RunResult& r) {
       .add("newton_iterations", r.stats.integration.newton_iterations)
       .add("jacobian_evaluations", r.stats.integration.jacobian_evaluations)
       .add("factorizations", r.stats.integration.factorizations)
-      .add("factor_cache_hits", r.stats.integration.factor_cache_hits)
-      .add("warm_start_hits", r.stats.integration.warm_starts)
       .add("replayed_solves", r.stats.replayed_solves)
       .add("replay_fallbacks", r.stats.replay_fallbacks)
       .str();
 }
 
 /// Agreement of final costs (both configurations must land in the same
-/// minimum; warm-started trajectories may differ at solver-tolerance level,
-/// so this is a tolerance check, not bit equality). Once both fits drive the
+/// minimum; replayed and independent FD columns differ at solver-tolerance
+/// level, so this is a tolerance check, not bit equality). Once both fits drive the
 /// RMS residual below the integrator's own tolerance (1e-6 relative /
 /// 1e-9 absolute, so anything under 1e-4 per record is integration noise),
 /// their costs are "equal" even if the tiny remainders differ by a large
@@ -254,58 +247,31 @@ int main(int argc, char** argv) {
               setup_seconds);
 
   const RunResult serial = run_serial(problem, max_iters);
-  const RunResult pooled = run_pooled(problem, workers, false, max_iters);
-  const RunResult warm = run_pooled(problem, workers, true, max_iters);
+  const RunResult pooled = run_pooled(problem, workers, max_iters);
 
   const double speedup_pooled = serial.seconds / pooled.seconds;
-  const double speedup_warm = serial.seconds / warm.seconds;
-  std::printf("\n%-8s %10s %14s %8s %10s %12s %10s %10s %10s\n", "config",
+  std::printf("\n%-8s %10s %14s %8s %10s %12s %10s %10s\n", "config",
               "seconds", "final cost", "evals", "solves", "steps", "factors",
-              "LU reuse", "warm hits");
+              "replayed");
   const struct {
     const char* name;
     const RunResult* r;
-  } rows[] = {{"serial", &serial}, {"pooled", &pooled}, {"warm", &warm}};
+  } rows[] = {{"serial", &serial}, {"pooled", &pooled}};
   for (const auto& row : rows) {
-    std::printf("%-8s %10.3f %14.6e %8zu %10zu %12zu %10zu %10zu %10zu\n",
+    std::printf("%-8s %10.3f %14.6e %8zu %10zu %12zu %10zu %10zu\n",
                 row.name, row.r->seconds, row.r->final_cost,
                 row.r->objective_evaluations, row.r->stats.solves,
                 row.r->stats.integration.steps,
                 row.r->stats.integration.factorizations,
-                row.r->stats.integration.factor_cache_hits,
-                row.r->stats.integration.warm_starts);
+                row.r->stats.replayed_solves);
   }
-  std::printf("\nspeedup vs serial: pooled %.2fx, pooled+warm %.2fx\n",
-              speedup_pooled, speedup_warm);
+  std::printf("\nspeedup vs serial: pooled %.2fx\n", speedup_pooled);
 
-  // Serial vs pooled follow the same trajectory, so their costs must agree
-  // no matter where LM stopped. Warm-started solves differ at solver
-  // tolerance, so serial vs warm is a same-minimum check; a disagreement
-  // only counts as failure once both fits actually converged — an
-  // iteration-capped smoke run (--max-iters=1 in CI) stops mid-descent,
-  // where the trajectories legitimately differ.
-  const bool pooled_agrees =
-      costs_agree(serial.final_cost, pooled.final_cost, residual_count);
-  const bool warm_agrees =
-      costs_agree(serial.final_cost, warm.final_cost, residual_count);
-  const bool warm_enforced = serial.converged && warm.converged;
   const bool equal_cost =
-      pooled_agrees && (warm_agrees || !warm_enforced);
-  if (!warm_agrees && !warm_enforced) {
-    std::printf(
-        "note: iteration-capped run (serial converged=%d warm converged=%d); "
-        "warm final-cost agreement not enforced\n",
-        serial.converged ? 1 : 0, warm.converged ? 1 : 0);
-  }
-  const bool warm_hits = warm.stats.integration.warm_starts > 0;
+      costs_agree(serial.final_cost, pooled.final_cost, residual_count);
   if (!equal_cost) {
-    std::fprintf(stderr,
-                 "FAIL: final costs disagree (serial %.9e pooled %.9e warm "
-                 "%.9e)\n",
-                 serial.final_cost, pooled.final_cost, warm.final_cost);
-  }
-  if (!warm_hits) {
-    std::fprintf(stderr, "FAIL: warm-start configuration recorded no hits\n");
+    std::fprintf(stderr, "FAIL: final costs disagree (serial %.9e pooled %.9e)\n",
+                 serial.final_cost, pooled.final_cost);
   }
 
   bench::JsonObject root;
@@ -317,15 +283,11 @@ int main(int argc, char** argv) {
   root.add("setup_seconds", setup_seconds);
   root.add_raw("runs",
                bench::json_array({run_json("serial", serial),
-                                  run_json("pooled", pooled),
-                                  run_json("pooled_warm", warm)}));
+                                  run_json("pooled", pooled)}));
   root.add("speedup_pooled_vs_serial", speedup_pooled);
-  root.add("speedup_warm_vs_serial", speedup_warm);
   root.add_raw("equal_final_cost", equal_cost ? "true" : "false");
-  root.add_raw("warm_cost_agrees", warm_agrees ? "true" : "false");
-  root.add_raw("warm_start_hits_positive", warm_hits ? "true" : "false");
   bench::write_file(json_path, root.str());
   std::printf("wrote %s\n", json_path.c_str());
 
-  return equal_cost && warm_hits ? 0 : 1;
+  return equal_cost ? 0 : 1;
 }

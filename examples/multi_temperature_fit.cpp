@@ -144,12 +144,11 @@ int main() {
   estimator::ObjectiveOptions options;
   options.rate_table = &built->rates;
   // Throughput layer: persistent 2-worker pool, LPT-ordered (column, file)
-  // Jacobian tasks, warm-started per-file solves with sparse-LU reuse
-  // (results are bit-identical for any worker count; see
-  // docs/estimator.md). The analytic Jacobian is the Execution's.
+  // Jacobian tasks whose FD columns replay the base solve's steps (results
+  // are bit-identical for any worker count; see docs/estimator.md). The
+  // analytic Jacobian is the Execution's.
   options.compiled_jacobian = exec.compiled_jacobian();
   options.pool_workers = 2;
-  options.warm_start = true;
   options.dynamic_load_balancing = true;
   estimator::ObjectiveFunction objective(built->program_optimized, observable,
                                          std::move(experiments), slots,
@@ -168,14 +167,12 @@ int main() {
   const estimator::SolverStats& sstats = result->solver_stats;
   std::printf(
       "  solver: %zu solves, %zu steps, %zu Newton iterations, "
-      "%zu Jacobians, %zu factorizations (%zu reused), %zu warm starts, "
-      "%zu replayed columns (%zu fell back)\n\n",
+      "%zu Jacobians, %zu factorizations, %zu replayed columns "
+      "(%zu fell back)\n\n",
       sstats.solves, sstats.integration.steps,
       sstats.integration.newton_iterations,
       sstats.integration.jacobian_evaluations,
-      sstats.integration.factorizations,
-      sstats.integration.factor_cache_hits,
-      sstats.integration.warm_starts, sstats.replayed_solves,
+      sstats.integration.factorizations, sstats.replayed_solves,
       sstats.replay_fallbacks);
 
   std::printf("%-12s %14s %14s %10s\n", "constant", "true A", "estimated A",

@@ -103,31 +103,35 @@ int main() {
                 cluster.run_lpt(times, nodes).speedup);
   }
 
-  // The same files with warm-started solves on the same 4-worker pool. The
-  // second call reuses the first call's per-file step/order profiles, and
-  // the aggregated Adams-Gear statistics make the savings visible (see
-  // docs/estimator.md).
-  estimator::ObjectiveOptions pooled_options = options;
-  pooled_options.warm_start = true;
-  estimator::ObjectiveFunction pooled(built->program_optimized, observable,
-                                      experiments, slots, rates,
-                                      pooled_options);
-  for (int call = 1; call <= 2; ++call) {
-    auto status = pooled.evaluate(x, residuals);
-    if (!status.is_ok()) {
-      std::fprintf(stderr, "pooled objective failed: %s\n",
-                   status.to_string().c_str());
-      return 1;
-    }
+  // The same files on the sparse-direct Newton path with the Execution's
+  // analytic Jacobian, fitting the first two rate constants: an evaluation
+  // at x records each file's steps, and the finite-difference Jacobian at
+  // the same x replays them for every column (see docs/estimator.md). The
+  // aggregated Adams-Gear statistics make the replay visible.
+  estimator::ObjectiveOptions sparse_options = options;
+  sparse_options.compiled_jacobian = exec.compiled_jacobian();
+  estimator::ObjectiveFunction sparse(built->program_optimized, observable,
+                                      experiments, {0, 1}, rates,
+                                      sparse_options);
+  const linalg::Vector x2 = {rates[0], rates[1]};
+  const linalg::Vector steps = {1e-4 * rates[0], 1e-4 * rates[1]};
+  linalg::Matrix jacobian(sparse.residual_size(), 2);
+  auto status = sparse.evaluate(x2, residuals);
+  if (status.is_ok()) {
+    status = sparse.evaluate_jacobian(x2, residuals, steps, jacobian);
   }
-  const estimator::SolverStats& sstats = pooled.solver_stats();
+  if (!status.is_ok()) {
+    std::fprintf(stderr, "sparse objective failed: %s\n",
+                 status.to_string().c_str());
+    return 1;
+  }
+  const estimator::SolverStats& sstats = sparse.solver_stats();
   std::printf(
-      "\nPersistent pool (4 workers, warm start), 2 calls:\n"
-      "  %zu solves, %zu steps, %zu Newton iterations, %zu factorizations "
-      "(%zu reused), %zu warm starts\n",
+      "\nSparse-LU evaluation + 2-column Jacobian (4 workers):\n"
+      "  %zu solves, %zu steps, %zu Newton iterations, %zu factorizations, "
+      "%zu replayed columns (%zu fell back)\n",
       sstats.solves, sstats.integration.steps,
       sstats.integration.newton_iterations, sstats.integration.factorizations,
-      sstats.integration.factor_cache_hits,
-      sstats.integration.warm_starts);
+      sstats.replayed_solves, sstats.replay_fallbacks);
   return 0;
 }

@@ -13,7 +13,8 @@ support::Expected<EstimationResult> estimate_parameters(
   };
   // The objective owns the FD Jacobian: the optimizer hands over the base
   // residual and the bound-aware steps, and all (column, file) solves run
-  // as one flat task pool (warm-started from the base solve when enabled).
+  // as one flat task pool (replaying the base solve's steps when it
+  // recorded them).
   auto jacobian_fn = [&objective](const linalg::Vector& x,
                                   const linalg::Vector& r,
                                   const linalg::Vector& steps,

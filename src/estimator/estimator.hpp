@@ -23,7 +23,7 @@ struct EstimationResult {
   std::vector<double> file_times;
   /// Aggregated Adams-Gear work over every per-file solve of the run
   /// (steps, Newton iterations, Jacobian evaluations, factorizations,
-  /// warm-start hits).
+  /// replayed column solves).
   SolverStats solver_stats;
 };
 

@@ -60,14 +60,7 @@ ObjectiveFunction::ObjectiveFunction(const vm::Program& program,
     max_records_ = std::max(max_records_, count);
   }
   file_times_.assign(experiments_.size(), 0.0);
-  if (options_.warm_start) {
-    warm_profiles_.resize(experiments_.size());
-    new_profiles_.resize(experiments_.size());
-    warm_valid_.assign(experiments_.size(), false);
-    factor_caches_.resize(experiments_.size());
-    new_factor_caches_.resize(experiments_.size());
-    recordings_.resize(experiments_.size());
-  }
+  recordings_.resize(experiments_.size());
   if (options_.pool_workers > 0) {
     // cap_to_hardware=false: the pool exists for deterministic task-level
     // parallelism, and the worker count must match what the caller asked
@@ -136,15 +129,10 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
 
   solver::AdamsGear& integrator = *scratch.integrator;
   const auto integrate = [&](const solver::StepRecording* steps) {
-    // A replay takes its steps and factorizations from the recording, so
-    // it borrows nothing else and records nothing.
+    // A replay takes its steps and factorizations from the recording and
+    // records nothing.
     integrator.set_replay(steps);
-    if (steps == nullptr) {
-      integrator.set_warm_start(hooks.warm);
-      integrator.set_factor_cache(hooks.factors);
-      integrator.set_factor_recorder(hooks.factor_capture);
-      integrator.set_step_recorder(hooks.step_capture);
-    }
+    if (steps == nullptr) integrator.set_step_recorder(hooks.step_capture);
     Status status = integrator.initialize(
         experiment.data.times.empty()
             ? 0.0
@@ -160,9 +148,6 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
       }
     }
     integrator.set_replay(nullptr);
-    integrator.set_warm_start(nullptr);
-    integrator.set_factor_cache(nullptr);
-    integrator.set_factor_recorder(nullptr);
     integrator.set_step_recorder(nullptr);
     return status;
   };
@@ -177,9 +162,6 @@ Status ObjectiveFunction::solve_file(std::size_t file_index,
       status = integrate(nullptr);
       stats += integrator.stats();
     }
-  }
-  if (status.is_ok() && hooks.capture != nullptr) {
-    integrator.capture_warm_start(*hooks.capture);
   }
   solve_seconds = timer.seconds();
   if (!status.is_ok()) {
@@ -267,7 +249,6 @@ Status ObjectiveFunction::evaluate(const linalg::Vector& x,
 
   // One task per file over the persistent pool (or inline), disjoint
   // per-file segments, deterministic serial reduction.
-  const bool warm = options_.warm_start;
   eval_segments_.assign(total_records_, 0.0);
   task_seconds_.assign(files, 0.0);
   task_stats_.assign(files, solver::IntegrationStats{});
@@ -279,16 +260,7 @@ Status ObjectiveFunction::evaluate(const linalg::Vector& x,
   run_tasks(files, file_times_, [&](std::size_t f) {
     SolveScratch& scratch = acquire_scratch();
     SolveHooks hooks;
-    if (warm) {
-      hooks.warm = warm_valid_[f] ? &warm_profiles_[f] : nullptr;
-      hooks.factors = factor_caches_[f].empty() ? nullptr : &factor_caches_[f];
-      hooks.capture = &new_profiles_[f];
-      hooks.factor_capture = &new_factor_caches_[f];
-      // Only a warm solve is recorded: a cold one clamps its steps to the
-      // record grid, far more steps than a replay should take.
-      recordings_[f].clear();
-      hooks.step_capture = hooks.warm != nullptr ? &recordings_[f] : nullptr;
-    }
+    hooks.step_capture = &recordings_[f];
     task_status_[f] =
         solve_file(f, rates, scratch, hooks,
                    eval_segments_.data() + file_offsets_[f], task_seconds_[f],
@@ -296,7 +268,7 @@ Status ObjectiveFunction::evaluate(const linalg::Vector& x,
     release_scratch(scratch);
   });
   RMS_RETURN_IF_ERROR(first_failure(task_status_));
-  if (warm) recorded_x_ = x;
+  recorded_x_ = x;
   for (std::size_t f = 0; f < files; ++f) {
     const std::size_t count = experiments_[f].data.record_count();
     const double* segment = eval_segments_.data() + file_offsets_[f];
@@ -309,19 +281,6 @@ Status ObjectiveFunction::evaluate(const linalg::Vector& x,
     }
     solver_stats_.solves += 1;
     solver_stats_.integration += task_stats_[f];
-    if (warm && !new_profiles_[f].empty()) {
-      // The base evaluation is the warm cache's single writer: Jacobian
-      // column solves read these profiles but never update them, so the
-      // cache content is independent of task interleaving.
-      std::swap(warm_profiles_[f], new_profiles_[f]);
-      new_profiles_[f].clear();
-      warm_valid_[f] = true;
-    }
-    if (warm && !new_factor_caches_[f].empty()) {
-      // Same single-writer rule for the factorization cache.
-      std::swap(factor_caches_[f], new_factor_caches_[f]);
-      new_factor_caches_[f].clear();
-    }
   }
   file_times_ = task_seconds_;
   return Status::ok();
@@ -368,8 +327,7 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
     }
   }
 
-  const bool warm = options_.warm_start;
-  const bool replay = warm && !recorded_x_.empty() && recorded_x_ == x;
+  const bool replay = !recorded_x_.empty() && recorded_x_ == x;
   task_status_.assign(tasks, Status::ok());
   task_replay_.assign(tasks, Replay::kNone);
   run_tasks(tasks, predicted, [&](std::size_t t) {
@@ -377,16 +335,10 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
     const std::size_t f = t % files;
     SolveScratch& scratch = acquire_scratch();
     // Columns replay the base solve's steps at this x when it recorded
-    // them. Otherwise they warm-start from the base-solve profile and
-    // factorizations (the perturbation is tiny, so the base trajectory's
-    // step/order history and iteration matrices are near-perfect seeds).
-    // Either way they never write a cache back.
+    // them, and otherwise solve independently. Either way they record
+    // nothing.
     SolveHooks hooks;
-    if (warm) {
-      hooks.warm = warm_valid_[f] ? &warm_profiles_[f] : nullptr;
-      hooks.factors = factor_caches_[f].empty() ? nullptr : &factor_caches_[f];
-      if (replay && !recordings_[f].empty()) hooks.replay = &recordings_[f];
-    }
+    if (replay && !recordings_[f].empty()) hooks.replay = &recordings_[f];
     task_status_[t] = solve_file(
         f, column_rates_[c], scratch, hooks,
         jacobian_segments_.data() + c * total_records_ + file_offsets_[f],

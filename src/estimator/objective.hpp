@@ -13,12 +13,13 @@
 // schedule) and commit into disjoint buffers that are reduced in file
 // order, so results are bit-identical for any worker count, and a failure
 // always reports the same file. Per-worker scratch (solver, VM registers,
-// rate buffers) and per-file warm-start profiles make the steady-state
-// solve allocation-free and skip the solver's cold-start ramp. A warm
-// sparse-LU evaluate() records each file's accepted steps, and the Jacobian
-// at the same x replays them for every column (AdamsGear::set_replay).
-// Each file's ODE system comes from codegen::make_ode_system, the builder
-// rms::Execution uses too.
+// rate buffers) makes the steady-state solve allocation-free. Every solve
+// starts from the file's initial state and borrows nothing from earlier
+// solves, so evaluate(x) is a pure function of x. A sparse-LU evaluate()
+// records each file's accepted steps, and the Jacobian at the same x
+// replays them for every column (AdamsGear::set_replay). Each file's ODE
+// system comes from codegen::make_ode_system, the builder rms::Execution
+// uses too.
 #pragma once
 
 #include <functional>
@@ -65,8 +66,8 @@ enum class ResidualLayout {
 };
 
 /// Aggregated Adams-Gear work over every per-file solve the objective ran,
-/// surfaced end-to-end into EstimationResult so warm-start, factorization
-/// and replay savings are observable, not just believed.
+/// surfaced end-to-end into EstimationResult so factorization and replay
+/// savings are observable, not just believed.
 struct SolverStats {
   std::size_t solves = 0;
   /// Jacobian column solves that replayed their base solve's steps.
@@ -91,13 +92,8 @@ struct ObjectiveOptions {
   /// every evaluation (and every batched-Jacobian column) over them.
   /// Results are bit-identical for any value.
   int pool_workers = 0;
-  /// Warm-start every per-file solve from the state the previous solve of
-  /// the same file recorded: its step-size/order profile seeds the step
-  /// controller (skipping the cold-start ramp), and its iteration-matrix
-  /// factorizations are reused whenever the needed d0 is within the
-  /// solver's drift band — FD Jacobian columns then solve with almost no
-  /// sparse-LU factorization work. The error controller still validates
-  /// every step, so accuracy is at solver tolerance either way.
+  /// Has no effect: every solve is history-free, and results are the same
+  /// either way. Kept only until the end-to-end benchmark stops setting it.
   bool warm_start = false;
   /// When set, experiments with a positive cure temperature evaluate
   /// Arrhenius-form rate constants at that temperature; an estimated
@@ -147,7 +143,7 @@ class ObjectiveFunction {
   /// scheduling all (column, file) solves as one flat LPT-ordered task pool
   /// over the persistent workers (serially without a pool — identical
   /// results either way). When the last evaluate() ran at this x and
-  /// recorded a file's steps (a warm solve on the sparse-LU path), that
+  /// recorded a file's steps (every solve on the sparse-LU path does), that
   /// file's column solves replay those steps, so every column differences
   /// two solves on one grid; a replay whose Newton iteration fails, and
   /// every other file, runs an independent solve. When solves fail, the
@@ -184,16 +180,11 @@ class ObjectiveFunction {
  private:
   struct SolveScratch;
 
-  /// What one file solve reads besides the rates, and what it records;
-  /// any member may be null.
+  /// What one file solve replays, and where it records its steps; either
+  /// may be null.
   struct SolveHooks {
-    const solver::WarmStartProfile* warm = nullptr;
-    const solver::FactorCache* factors = nullptr;
-    /// Steps to replay; a failed replay falls back to a solve from `warm`
-    /// and `factors`.
+    /// Steps to replay; a failed replay falls back to an adaptive solve.
     const solver::StepRecording* replay = nullptr;
-    solver::WarmStartProfile* capture = nullptr;
-    solver::FactorCache* factor_capture = nullptr;
     solver::StepRecording* step_capture = nullptr;
   };
 
@@ -204,8 +195,8 @@ class ObjectiveFunction {
   void rates_for(const linalg::Vector& x, std::vector<double>& rates) const;
 
   /// Solves one file and writes the residual of record j to segment[j]
-  /// (record_count entries); an error names the file. `hooks` seeds the
-  /// solver and receives what it records; `replay` reports whether the
+  /// (record_count entries); an error names the file. `hooks` says what
+  /// the solve replays and records; `replay` reports whether the
   /// solve replayed hooks.replay or fell back.
   support::Status solve_file(std::size_t file_index,
                              const std::vector<double>& prefactors,
@@ -237,25 +228,16 @@ class ObjectiveFunction {
   std::vector<int> assignment_;
   SolverStats solver_stats_;
 
-  // Persistent execution state (tentpole): long-lived worker pool,
-  // per-worker scratch, per-file warm-start profiles, reusable buffers.
+  // Persistent execution state: long-lived worker pool, per-worker
+  // scratch, reusable buffers.
   std::unique_ptr<support::ThreadPool> pool_;
   std::vector<std::unique_ptr<SolveScratch>> scratch_pool_;
   std::vector<SolveScratch*> free_scratch_;
   std::mutex scratch_mutex_;
-  std::vector<solver::WarmStartProfile> warm_profiles_;
-  std::vector<bool> warm_valid_;
-  std::vector<solver::WarmStartProfile> new_profiles_;
-  /// Per-file iteration-matrix factorizations recorded by the latest base
-  /// evaluation (single writer, like the warm profiles): the solver reuses
-  /// a cached factor instead of refactoring whenever the needed d0 lies
-  /// within the warm drift band of a recorded one, which removes most of
-  /// the sparse-LU cost from FD column solves.
-  std::vector<solver::FactorCache> factor_caches_;
-  std::vector<solver::FactorCache> new_factor_caches_;
-  /// Per-file accepted steps of the latest warm base evaluation, taken at
-  /// recorded_x_ (empty when that evaluation failed or recorded nothing):
-  /// what evaluate_jacobian at the same x replays.
+  /// Per-file accepted steps of the latest evaluate(), taken at recorded_x_
+  /// (empty when that evaluation failed; a recording is empty when its
+  /// solve was not on the sparse-LU path): what evaluate_jacobian at the
+  /// same x replays.
   std::vector<solver::StepRecording> recordings_;
   linalg::Vector recorded_x_;
   std::vector<double> eval_segments_;      ///< evaluate(): per-file residuals

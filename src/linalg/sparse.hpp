@@ -9,8 +9,8 @@
 //  - Symbolic (once per sparsity pattern): a greedy minimum-degree symmetric
 //    ordering of pattern(A + A^T) and the exact L/U patterns for diagonal
 //    pivots in that order. The analysis is immutable and shared by every
-//    copy of the factorization (the solver's FactorCache entries included),
-//    so a copy carries only flat value arrays.
+//    copy of the factorization (the factorizations a solver's step
+//    recording keeps included), so a copy carries only flat value arrays.
 //  - Numeric (every factor() call): a left-looking refactor into the fixed
 //    patterns with no search and no allocation. A pivot that is zero,
 //    non-finite or below a tenth of its column's largest candidate sends

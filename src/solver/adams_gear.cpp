@@ -14,40 +14,22 @@ namespace {
 constexpr double kSafety = 0.9;
 constexpr double kMinShrink = 0.25;
 constexpr double kMaxGrow = 4.0;
-// Growth cap while chasing a warm-start profile: the profile proves larger
-// steps were accepted here on a nearby trajectory, so the controller may
-// close the gap faster than the cold 4x-per-step ramp.
-constexpr double kWarmMaxGrow = 64.0;
-// Warm-mode step hysteresis (the CVODE eta threshold): an accepted step
-// keeps its size unless the controller wants at least 1.5x growth. A
-// constant h keeps d0 constant, and a constant d0 keeps the factored
-// iteration matrix valid. A sparse refactorization costs ~3 Newton
-// iterations (TC3 at 5% scale, n = 1229, on a 4-core Xeon: ~55 us to fill
-// and refactor M against ~20 us for an RHS evaluation and a triangular
-// solve), and each refactorization a constant-h stretch avoids saves that
-// much.
-constexpr double kWarmGrowThreshold = 1.5;
-// Warm-mode d0 drift band before refactoring (the role of CVODE's dgmax,
-// widened). At the band edge (d0 ratio 1.5x either way) the stale-d0
-// correction below bounds the extra per-iteration Newton error factor at
-// ~1/3, costing a couple of extra iterations — about the price of the
-// refactorization it avoids (see above). The cold band stays at 0.2.
-constexpr double kWarmDriftBand = 0.5;
-// Recorded factorizations per solve are capped: a recorded sparse LU holds
-// only its value arrays (nnz(L + U) doubles, sharing the pattern analysis
-// with the solver's own factorization) — ~70 KB for TC3 at 5% scale and
-// ~1.4 MB at full scale (n = 24,504) — and a well-behaved solve records ~10
-// rungs, so the cap only guards against reject storms. Step recordings
-// hold their factorizations themselves, so the cap never limits a replay.
-constexpr std::size_t kFactorCacheCap = 64;
+// d0 drift band before refactoring (the role of CVODE's dgmax, widened).
+// At the band edge (d0 ratio 1.5x either way) the stale-d0 correction below
+// bounds the extra per-iteration Newton error factor at ~1/3, costing a
+// couple of extra iterations. A sparse refactorization costs about three
+// (TC3 at 5% scale, n = 1229, on a 4-core Xeon: ~55 us to fill and refactor
+// M against ~20 us for an RHS evaluation and a triangular solve), so the
+// wide band pays.
+constexpr double kDriftBand = 0.5;
 constexpr int kMaxNewtonIterations = 7;
 
-/// Warm-mode stale-d0 correction (CVODE's 2/(1+gamrat) scaling): the
+/// Stale-d0 correction (CVODE's 2/(1+gamrat) scaling): the
 /// factored matrix is d0_old I - J but the residual uses the current d0,
 /// so each eigenmode of the update is off by (d0_old - l)/(d0 - l), a
 /// factor between 1 and d0_old/d0. Scaling the update by the harmonic
 /// midpoint keeps the modified Newton contraction healthy across the
-/// widened drift band without touching the fixed point.
+/// drift band without touching the fixed point.
 double stale_d0_relax(double d0, double factored_d0) {
   return 2.0 / (1.0 + d0 / factored_d0);
 }
@@ -94,34 +76,17 @@ support::Status AdamsGear::initialize(double t0, const std::vector<double>& y0) 
   has_factorization_ = false;
   active_sparse_lu_ = nullptr;
   active_lu_record_.reset();
-  if (factor_recorder_ != nullptr) factor_recorder_->clear();
   if (step_recorder_ != nullptr) {
     step_recorder_->clear();
     step_recorder_->t0 = t0;
     step_recorder_->dimension = system_.dimension;
   }
   replay_cursor_ = 0;
-  profile_times_.clear();
-  profile_steps_.clear();
-  profile_orders_.clear();
-  warm_cursor_ = 0;
 
   if (replay_ != nullptr) {
     // The recording fixes every step; h is never read.
   } else if (options_.initial_step > 0.0) {
     h_ = options_.initial_step;
-  } else if (warm_ != nullptr && !warm_->empty()) {
-    // Start with the largest step the previous solve accepted during its
-    // own order-1 startup: the trajectories differ only by a parameter
-    // perturbation, so the step that worked there works here (and a
-    // rejection merely halves it back).
-    double h0 = 0.0;
-    for (std::size_t i = 0; i < warm_->steps.size() && warm_->orders[i] == 1;
-         ++i) {
-      h0 = std::max(h0, warm_->steps[i]);
-    }
-    h_ = h0 > options_.min_step ? h0 : 1e-6;
-    stats_.warm_starts = 1;
   } else {
     system_.rhs(t0, y0.data(), f_work_.data());
     ++stats_.rhs_evaluations;
@@ -134,20 +99,6 @@ support::Status AdamsGear::initialize(double t0, const std::vector<double>& y0) 
   }
   initialized_ = true;
   return support::Status::ok();
-}
-
-void AdamsGear::capture_warm_start(WarmStartProfile& out) const {
-  out.times = profile_times_;
-  out.steps = profile_steps_;
-  out.orders = profile_orders_;
-}
-
-std::size_t AdamsGear::warm_index_at(double t) {
-  const std::vector<double>& times = warm_->times;
-  while (warm_cursor_ + 1 < times.size() && times[warm_cursor_ + 1] <= t) {
-    ++warm_cursor_;
-  }
-  return warm_cursor_;
 }
 
 void AdamsGear::compute_jacobian(double t, const std::vector<double>& y) {
@@ -315,50 +266,9 @@ bool AdamsGear::factor_sparse_iteration_matrix(double d0) {
   factored_d0_ = d0;
   has_factorization_ = true;
   active_sparse_lu_ = &sparse_lu_;
-  if (factor_recorder_ != nullptr || step_recorder_ != nullptr) {
+  if (step_recorder_ != nullptr) {
     // Recorded factorizations outlive this solver's next refactor.
     active_lu_record_ = std::make_shared<const linalg::SparseLu>(sparse_lu_);
-    if (factor_recorder_ != nullptr &&
-        factor_recorder_->entries.size() < kFactorCacheCap) {
-      factor_recorder_->entries.push_back({d0, active_lu_record_});
-    }
-  }
-  return true;
-}
-
-bool AdamsGear::try_factor_cache(double d0) {
-  if (factor_cache_ == nullptr || factor_cache_->empty()) return false;
-  // Closest recorded d0; usable when within the warm drift band, where the
-  // stale-d0 Newton correction keeps the corrector contracting.
-  const FactorCache::Entry* best = nullptr;
-  double best_gap = kWarmDriftBand;
-  for (const FactorCache::Entry& e : factor_cache_->entries) {
-    const double gap = std::fabs(e.d0 - d0) / std::fabs(e.d0);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best = &e;
-    }
-  }
-  if (best == nullptr) return false;
-  active_sparse_lu_ = best->lu.get();
-  active_lu_record_ = best->lu;
-  factored_d0_ = best->d0;
-  has_factorization_ = true;
-  ++stats_.factor_cache_hits;
-  if (factor_recorder_ != nullptr) {
-    // Re-record the reused rung, shared rather than copied, so the
-    // recording stays a complete ladder for the next solve even when this
-    // one mostly hit the cache. A rung reused many times is recorded once.
-    bool recorded = false;
-    for (const FactorCache::Entry& e : factor_recorder_->entries) {
-      if (e.lu == best->lu) {
-        recorded = true;
-        break;
-      }
-    }
-    if (!recorded && factor_recorder_->entries.size() < kFactorCacheCap) {
-      factor_recorder_->entries.push_back(*best);
-    }
   }
   return true;
 }
@@ -464,7 +374,6 @@ support::Status AdamsGear::newton_solve(double t_new,
 support::Status AdamsGear::step() {
   const std::size_t n = system_.dimension;
   const double t = history_.front().t;
-  const bool warm = warm_ != nullptr && !warm_->empty();
   bool refreshed_jacobian_this_step = false;
 
   for (int attempt = 0; attempt < kMaxStepAttempts; ++attempt) {
@@ -495,24 +404,17 @@ support::Status AdamsGear::step() {
           compute_jacobian(t, history_.front().y);
         }
       }
-      const double drift_band = warm ? kWarmDriftBand : 0.2;
       const bool d0_drifted =
           !has_factorization_ ||
-          std::fabs(d[0] - factored_d0_) > drift_band * std::fabs(factored_d0_);
+          std::fabs(d[0] - factored_d0_) > kDriftBand * std::fabs(factored_d0_);
       if (d0_drifted || jacobian_fresh_) {
         jacobian_fresh_ = false;
-        // Borrowed factorizations first (sparse path): a nearby solve
-        // already factored this d0 neighbourhood. After a Newton failure
-        // this step, insist on own fresh factors.
-        if (!(sparse && !refreshed_jacobian_this_step &&
-              try_factor_cache(d[0]))) {
-          const bool factored = sparse ? factor_sparse_iteration_matrix(d[0])
-                                       : factor_iteration_matrix(d[0]);
-          if (!factored) {
-            h_ *= 0.5;
-            ++stats_.rejected_steps;
-            continue;
-          }
+        const bool factored = sparse ? factor_sparse_iteration_matrix(d[0])
+                                     : factor_iteration_matrix(d[0]);
+        if (!factored) {
+          h_ *= 0.5;
+          ++stats_.rejected_steps;
+          continue;
         }
       }
     }
@@ -523,16 +425,11 @@ support::Status AdamsGear::step() {
     const int predictor_points = interpolation_points();
     interpolate(t_new, predictor_points, y_pred_);
     y_new_ = y_pred_;
-    // Solves borrowing warm state relax each Newton update against a
-    // stale factored d0.
-    const bool warm_assisted = warm || factor_cache_ != nullptr;
-    const double relax =
-        warm_assisted &&
-                options_.newton_linear_solver !=
-                    NewtonLinearSolver::kMatrixFreeGmres &&
-                has_factorization_ && factored_d0_ != d[0]
-            ? stale_d0_relax(d[0], factored_d0_)
-            : 1.0;
+    // Relax each Newton update against a stale factored d0 (the
+    // matrix-free path factors nothing).
+    const double relax = has_factorization_ && factored_d0_ != d[0]
+                             ? stale_d0_relax(d[0], factored_d0_)
+                             : 1.0;
     bool converged = false;
     RMS_RETURN_IF_ERROR(newton_solve(t_new, d, y_new_, relax, converged));
     if (!converged) {
@@ -578,24 +475,14 @@ support::Status AdamsGear::step() {
     if (err <= 1.0 || h_ <= options_.min_step) {
       // Accept the step. Recycle the oldest history point's storage so the
       // steady-state loop performs no allocation.
-      profile_times_.push_back(t);
-      profile_steps_.push_back(h_);
-      profile_orders_.push_back(q);
       push_history(t_new);
       ++stats_.steps;
       consecutive_rejects_ = 0;
       ++accepts_at_order_;
 
       // Order raise heuristic: after a stretch of clean accepts at this
-      // order, try the next one (history permitting). A warm-start profile
-      // that used a higher order at this time shortens the stretch to one
-      // accept — the previous solve already proved the order works here.
-      int accepts_needed = order_ + 2;
-      if (warm && warm_->orders[warm_index_at(t_new)] > order_) {
-        accepts_needed = 1;
-      }
-      if (order_ < options_.max_order &&
-          accepts_at_order_ >= accepts_needed &&
+      // order, try the next one (history permitting).
+      if (order_ < options_.max_order && accepts_at_order_ >= order_ + 2 &&
           history_.size() > static_cast<std::size_t>(order_)) {
         ++order_;
         accepts_at_order_ = 0;
@@ -604,24 +491,11 @@ support::Status AdamsGear::step() {
           options_.newton_linear_solver == NewtonLinearSolver::kSparseLu) {
         record_step(t_new, predictor_points, relax);
       }
-      // Warm solves let the error controller, not the conservative cold 4x
-      // cap, limit step growth: the previous solve of this file already
-      // proved large steps work on this trajectory, and every accepted step
-      // still passes the same error test. This collapses the start-up ramp
-      // (four decades of h) from ~7 growth steps — each a d0 jump forcing a
-      // refactorization — to ~3.
-      const double grow_cap = warm ? kWarmMaxGrow : kMaxGrow;
       const double grow =
           err > 1e-10
               ? kSafety * std::pow(1.0 / err, 1.0 / static_cast<double>(q + 1))
-              : grow_cap;
-      const double factor = std::clamp(grow, kMinShrink, grow_cap);
-      if (warm && factor < kWarmGrowThreshold) {
-        // Hysteresis: keep h (and with it d0 and the factored matrix)
-        // unless the controller wants a decisive change.
-        return support::Status::ok();
-      }
-      h_ *= factor;
+              : kMaxGrow;
+      h_ *= std::clamp(grow, kMinShrink, kMaxGrow);
       return support::Status::ok();
     }
 
@@ -757,27 +631,14 @@ support::Status AdamsGear::advance(double t_target) {
                            "initialize() must be called first");
   }
   std::size_t steps = 0;
-  // Warm solves keep the step size the error controller chose and
-  // interpolate record times out of the step's interior; the loop stops as
-  // soon as the newest accepted step passes the target, so the target
-  // always lies inside the newest history interval. Clamping h to every
-  // record gap (the cold behaviour below) makes h track the record grid
+  // h is the error controller's, never clamped to the target: the loop
+  // stops as soon as the newest accepted step passes t_target, so the
+  // target lies inside the newest history interval and is interpolated.
+  // Clamping h to every record gap would make h track the record grid
   // instead of the solution, which churns d0 and forces constant
   // refactorization on densely-sampled files.
-  const bool warm = warm_ != nullptr && !warm_->empty();
   while (history_.front().t < t_target) {
-    if (replay_ != nullptr) {
-      RMS_RETURN_IF_ERROR(replay_step());
-    } else {
-      if (!warm) {
-        // Do not overshoot the target by more than one step; clamp h so
-        // the final step lands close to it (interpolation covers the
-        // interior).
-        h_ = std::min(h_, std::max(t_target - history_.front().t,
-                                   options_.min_step));
-      }
-      RMS_RETURN_IF_ERROR(step());
-    }
+    RMS_RETURN_IF_ERROR(replay_ != nullptr ? replay_step() : step());
     if (++steps > options_.max_steps_per_call) {
       return support::numeric_error("max_steps_per_call exceeded");
     }

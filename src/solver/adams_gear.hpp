@@ -16,15 +16,15 @@
 // iteration with iteration matrix M = d_0 I - J, J a finite-difference
 // Jacobian that is reused across steps until convergence degrades.
 //
-// Warm starts: the parameter estimator re-solves each data file at every
-// Levenberg-Marquardt trial point (and for every finite-difference column
-// it cannot replay, below), at rate constants that barely move between
-// solves. A completed solve records its
-// accepted step-size/order profile (capture_warm_start); a later solve of
-// the same file seeded with that profile (set_warm_start) skips the
-// conservative cold-start ramp — larger initial step, earlier order raises,
-// faster step growth toward the recorded profile — while the error
-// controller still validates every step, so accuracy is unchanged.
+// Step control: h follows the error controller alone. The solver never
+// shortens a step to land on an output time; a requested time inside the
+// newest step is interpolated (advance_to, advance_to_observed), so a
+// densely-sampled data file costs the steps its solution needs, not one per
+// record. The iteration matrix is refactored only when d0 drifts more than
+// 50% from the factored one or the Jacobian is refreshed, and each Newton
+// update is scaled by 2 / (1 + d0 / d0_factored) to make up for the stale
+// d0. Every solve runs this way from its initial state, so its result
+// depends on nothing but its system, options and initial point.
 //
 // Step replay (internal numerical differentiation, Bock 1981): a solve
 // with a step recorder installed (set_step_recorder) records every accepted
@@ -62,43 +62,6 @@
 #include "solver/ode.hpp"
 
 namespace rms::solver {
-
-/// Accepted-step profile of a completed integration: entry i says the step
-/// starting at times[i] used step size steps[i] at BDF order orders[i].
-/// A profile captured on one trajectory warm-starts a re-solve of a nearby
-/// trajectory (same file, perturbed rate constants).
-struct WarmStartProfile {
-  std::vector<double> times;
-  std::vector<double> steps;
-  std::vector<int> orders;
-
-  [[nodiscard]] bool empty() const { return steps.empty(); }
-  void clear() {
-    times.clear();
-    steps.clear();
-    orders.clear();
-  }
-};
-
-/// Reusable iteration-matrix factorizations recorded on one solve: entry i
-/// factored M = d0 I - J at d0 values[i].d0 somewhere along the trajectory.
-/// A later solve of a nearby trajectory (same data file, rate constants
-/// perturbed at finite-difference magnitude) reuses the factors directly —
-/// the modified Newton corrector tolerates both the stale Jacobian and a
-/// bounded d0 mismatch — trading a few extra Newton iterations for
-/// refactorizations. Entries are immutable and shared: a rung reused from
-/// one recording is recorded again as the same object, and step recordings
-/// point at the same factorizations.
-struct FactorCache {
-  struct Entry {
-    double d0 = 0.0;
-    std::shared_ptr<const linalg::SparseLu> lu;
-  };
-  std::vector<Entry> entries;
-
-  [[nodiscard]] bool empty() const { return entries.empty(); }
-  void clear() { entries.clear(); }
-};
 
 /// The accepted steps of one sparse-LU solve, in order, for a replay on a
 /// nearby trajectory (AdamsGear::set_replay). The weights and updates live
@@ -152,29 +115,6 @@ class AdamsGear final : public OdeSolver {
   /// Current BDF order (for tests/diagnostics).
   [[nodiscard]] int current_order() const { return order_; }
 
-  /// Copies the accepted-step profile of the integration since the last
-  /// initialize() into `out` (cleared first). Meaningful after advance_to.
-  void capture_warm_start(WarmStartProfile& out) const;
-
-  /// Borrows a profile consumed by subsequent initialize() calls: the
-  /// initial step and the controller's ramp heuristics follow the profile.
-  /// nullptr (the default) restores cold starts. The profile must outlive
-  /// the integration (it is read during stepping).
-  void set_warm_start(const WarmStartProfile* profile) { warm_ = profile; }
-
-  /// Borrows recorded factorizations from an earlier solve of a nearby
-  /// trajectory (sparse-LU path only): whenever a step would refactor the
-  /// iteration matrix, a cached factor whose d0 lies within the warm drift
-  /// band of the needed one is reused instead. nullptr disables reuse. The
-  /// cache must outlive the integration and is never written through.
-  void set_factor_cache(const FactorCache* cache) { factor_cache_ = cache; }
-
-  /// Directs factorizations of subsequent integrations into `out` (cleared
-  /// on initialize): every factorization this solver performs — and every
-  /// cache hit it reuses — is appended, so the recording is a complete d0
-  /// ladder for the trajectory. nullptr (the default) disables recording.
-  void set_factor_recorder(FactorCache* out) { factor_recorder_ = out; }
-
   /// Records the accepted steps of subsequent integrations into `out`
   /// (cleared on initialize; sparse-LU path only, other paths record
   /// nothing). nullptr (the default) disables recording.
@@ -219,9 +159,6 @@ class AdamsGear final : public OdeSolver {
   bool factor_iteration_matrix(double d0);
   void compute_sparse_jacobian(double t, const std::vector<double>& y);
   bool factor_sparse_iteration_matrix(double d0);
-  /// Looks for a borrowed factorization within the warm drift band of d0;
-  /// on a hit installs it as the active factorization and returns true.
-  bool try_factor_cache(double d0);
   bool iteration_structure_matches() const;
   void build_iteration_structure();
   /// History points interpolation runs through at the current order:
@@ -233,9 +170,6 @@ class AdamsGear final : public OdeSolver {
   /// State at t through the newest `points` history points: dense output
   /// inside the newest step, and the predictor when t lies beyond it.
   void interpolate(double t, int points, std::vector<double>& y_out);
-  /// Profile entry in effect at time t (monotone cursor; t must not
-  /// decrease between calls within one integration).
-  std::size_t warm_index_at(double t);
 
   OdeSystem system_;
   IntegrationOptions options_;
@@ -252,13 +186,11 @@ class AdamsGear final : public OdeSolver {
   linalg::CsrMatrix sparse_jacobian_;
   linalg::SparseLu sparse_lu_;
   /// The factorization Newton solves with: &sparse_lu_ after an own
-  /// factorization, or a borrowed FactorCache entry after a cache hit.
+  /// factorization, or a recorded one while replaying.
   const linalg::SparseLu* active_sparse_lu_ = nullptr;
   /// Owner of the active factorization while recording: a shared copy of
-  /// sparse_lu_ after an own factorization, the entry's after a cache hit.
+  /// sparse_lu_, which the next refactor overwrites.
   std::shared_ptr<const linalg::SparseLu> active_lu_record_;
-  const FactorCache* factor_cache_ = nullptr;
-  FactorCache* factor_recorder_ = nullptr;
   StepRecording* step_recorder_ = nullptr;
   const StepRecording* replay_ = nullptr;
   std::size_t replay_cursor_ = 0;
@@ -296,13 +228,6 @@ class AdamsGear final : public OdeSolver {
   std::vector<double> jac_deltas_;
   std::vector<double> jac_y_pert_;
 
-  // Accepted-step profile of the current integration (capture_warm_start)
-  // and the borrowed profile steering it (set_warm_start).
-  std::vector<double> profile_times_;
-  std::vector<double> profile_steps_;
-  std::vector<int> profile_orders_;
-  const WarmStartProfile* warm_ = nullptr;
-  std::size_t warm_cursor_ = 0;
   const Observable* output_ = nullptr;
 
   bool initialized_ = false;

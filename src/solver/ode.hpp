@@ -106,11 +106,11 @@ struct IntegrationStats {
   std::size_t jacobian_evaluations = 0;
   std::size_t factorizations = 0;
   std::size_t newton_iterations = 0;
-  /// 1 when this integration was initialized from a warm-start profile
-  /// captured on an earlier solve (AdamsGear::set_warm_start).
+  /// Always 0: no solve starts from an earlier solve's state any more. Kept
+  /// only until the end-to-end benchmark stops reading it.
   std::size_t warm_starts = 0;
-  /// Iteration-matrix factorizations avoided by reusing a factorization
-  /// recorded on an earlier solve (AdamsGear::set_factor_cache).
+  /// Always 0: no solve borrows an earlier solve's factorizations any more.
+  /// Kept only until the end-to-end benchmark stops reading it.
   std::size_t factor_cache_hits = 0;
 
   IntegrationStats& operator+=(const IntegrationStats& other) {

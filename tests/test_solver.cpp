@@ -267,56 +267,6 @@ TEST(AdamsGear, JacobianReuse) {
   EXPECT_LT(solver.stats().jacobian_evaluations, solver.stats().steps);
 }
 
-/// Robertson with the analytic sparse Jacobian (full 3x3 pattern), driving
-/// the sparse-direct Newton path the estimator uses for large models.
-OdeSystem sparse_robertson() {
-  OdeSystem system = robertson();
-  system.sparse_jacobian = [](double, const double* y, linalg::CsrMatrix& out) {
-    out.rows = out.cols = 3;
-    out.row_offsets = {0, 3, 6, 9};
-    out.col_indices = {0, 1, 2, 0, 1, 2, 0, 1, 2};
-    out.values = {-0.04, 1.0e4 * y[2],               1.0e4 * y[1],
-                  0.04,  -1.0e4 * y[2] - 6.0e7 * y[1], -1.0e4 * y[1],
-                  0.0,   6.0e7 * y[1],                0.0};
-  };
-  return system;
-}
-
-TEST(AdamsGear, WarmStartMatchesColdAccuracyOverRecordGrid) {
-  IntegrationOptions options;
-  options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
-  AdamsGear solver(sparse_robertson(), options);
-
-  auto run_grid = [&](std::vector<double>& y_final) {
-    auto status = solver.initialize(0.0, {1.0, 0.0, 0.0});
-    ASSERT_TRUE(status.is_ok());
-    for (int j = 1; j <= 24; ++j) {
-      status = solver.advance_to(100.0 * j / 24.0, y_final);
-      ASSERT_TRUE(status.is_ok()) << status.to_string();
-    }
-  };
-
-  std::vector<double> y_cold;
-  run_grid(y_cold);
-  WarmStartProfile profile;
-  solver.capture_warm_start(profile);
-  ASSERT_FALSE(profile.empty());
-
-  solver.set_warm_start(&profile);
-  std::vector<double> y_warm;
-  run_grid(y_warm);
-  const IntegrationStats warm = solver.stats();
-  solver.set_warm_start(nullptr);
-
-  EXPECT_EQ(warm.warm_starts, 1u);
-  // Same answer at solver tolerance; the error controller still validates
-  // every warm step.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NEAR(y_warm[i], y_cold[i], 1e-5) << "component " << i;
-  }
-  EXPECT_NEAR(y_warm[0] + y_warm[1] + y_warm[2], 1.0, 1e-6);
-}
-
 /// Stiff linear cascade A -1e3-> B -1-> C with its constant CSR Jacobian.
 OdeSystem sparse_linear_cascade() {
   OdeSystem system;
@@ -381,48 +331,6 @@ TEST(AdamsGear, ReplayRetracesRecordedSteps) {
   // A recording replays only from its own initial point.
   EXPECT_FALSE(solver.initialize(1.0, y0).is_ok());
   solver.set_replay(nullptr);
-}
-
-TEST(AdamsGear, FactorCacheReuseCutsFactorizations) {
-  IntegrationOptions options;
-  options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
-  AdamsGear solver(sparse_robertson(), options);
-
-  auto run_grid = [&](std::vector<double>& y_final) {
-    auto status = solver.initialize(0.0, {1.0, 0.0, 0.0});
-    ASSERT_TRUE(status.is_ok());
-    for (int j = 1; j <= 24; ++j) {
-      status = solver.advance_to(100.0 * j / 24.0, y_final);
-      ASSERT_TRUE(status.is_ok()) << status.to_string();
-    }
-  };
-
-  // Recording solve: every factorization lands in the cache.
-  FactorCache cache;
-  solver.set_factor_recorder(&cache);
-  std::vector<double> y_cold;
-  run_grid(y_cold);
-  const IntegrationStats cold = solver.stats();
-  WarmStartProfile profile;
-  solver.capture_warm_start(profile);
-  solver.set_factor_recorder(nullptr);
-  ASSERT_FALSE(cache.empty());
-  EXPECT_LE(cache.entries.size(), cold.factorizations);
-
-  // Reusing solve: borrowed factorizations stand in for refactorization.
-  solver.set_warm_start(&profile);
-  solver.set_factor_cache(&cache);
-  std::vector<double> y_warm;
-  run_grid(y_warm);
-  const IntegrationStats warm = solver.stats();
-  solver.set_warm_start(nullptr);
-  solver.set_factor_cache(nullptr);
-
-  EXPECT_GT(warm.factor_cache_hits, 0u);
-  EXPECT_LT(warm.factorizations, cold.factorizations);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NEAR(y_warm[i], y_cold[i], 1e-5) << "component " << i;
-  }
 }
 
 /// A small vulcanization-like mechanism: a sulfur pool S (species 0) adds
@@ -545,6 +453,50 @@ TEST(AdamsGear, SparseLuTrajectoryMatchesDenseLu) {
   EXPECT_NEAR(sulfur_mass, y0[0], 10.0 * options.relative_tolerance * y0[0]);
 }
 
+TEST(AdamsGear, StepsOverDenseRecordGrid) {
+  // 400 records over the sulfur chain's cure, far denser than its solution
+  // needs: h follows the error controller, not the record grid, so the
+  // solve takes fewer accepted steps than there are records and
+  // interpolates the rest (measured: 252 steps; a solve that shortens h to
+  // land on every record takes 600). Every record agrees with an rtol 1e-10
+  // solve within the global error of the default tolerance, a small
+  // multiple of rtol * |y| + atol (measured: 10.9 such units at worst, in
+  // the fast transient; 11.1 for the record-clamped solve).
+  const std::size_t m = 40;
+  std::vector<double> y0(m + 2, 0.0);
+  y0[0] = 2.0;
+  y0[1] = 1.0;
+  std::vector<double> times;
+  for (int j = 1; j <= 400; ++j) times.push_back(20.0 * j / 400.0);
+
+  IntegrationOptions options;
+  options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
+  IntegrationOptions tight = options;
+  tight.relative_tolerance = 1e-10;
+  tight.absolute_tolerance = 1e-14;
+  AdamsGear solver(sulfur_chain(m), options);
+  AdamsGear reference(sulfur_chain(m), tight);
+  ASSERT_TRUE(solver.initialize(0.0, y0).is_ok());
+  ASSERT_TRUE(reference.initialize(0.0, y0).is_ok());
+  std::vector<double> y;
+  std::vector<double> y_ref;
+  double worst = 0.0;  // largest error in units of rtol * |y| + atol
+  for (const double t : times) {
+    auto status = solver.advance_to(t, y);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    status = reference.advance_to(t, y_ref);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      worst = std::max(worst, std::fabs(y[i] - y_ref[i]) /
+                                  (options.relative_tolerance *
+                                       std::fabs(y_ref[i]) +
+                                   options.absolute_tolerance));
+    }
+  }
+  EXPECT_LT(worst, 20.0);
+  EXPECT_LT(solver.stats().steps, times.size());
+}
+
 void expect_same_work(const IntegrationStats& a, const IntegrationStats& b) {
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.rejected_steps, b.rejected_steps);
@@ -552,15 +504,13 @@ void expect_same_work(const IntegrationStats& a, const IntegrationStats& b) {
   EXPECT_EQ(a.jacobian_evaluations, b.jacobian_evaluations);
   EXPECT_EQ(a.factorizations, b.factorizations);
   EXPECT_EQ(a.newton_iterations, b.newton_iterations);
-  EXPECT_EQ(a.warm_starts, b.warm_starts);
-  EXPECT_EQ(a.factor_cache_hits, b.factor_cache_hits);
 }
 
 TEST(AdamsGear, ObservedOutputMatchesMeasuredState) {
   // The projected output against measuring the interpolated state: the
   // same Fornberg weights, applied after the linear projection instead of
-  // before it. Cold steps are clamped to land on records; warm steps chase
-  // a captured profile, so records fall inside step interiors.
+  // before it. Steps are not clamped to records, so most records fall
+  // inside step interiors.
   const std::size_t m = 40;
   const std::size_t n = m + 2;
   std::vector<double> y0(n, 0.0);
@@ -617,35 +567,25 @@ TEST(AdamsGear, ObservedOutputMatchesMeasuredState) {
     return pass;
   };
 
-  WarmStartProfile profile;
-  for (const bool warm : {false, true}) {
-    SCOPED_TRACE(warm ? "warm" : "cold");
-    solver.set_warm_start(warm ? &profile : nullptr);
-    for (const Observable* output : {&spread, &crosslinks}) {
-      const Pass state = run(*output, false);
-      const Pass observed = run(*output, true);
-      if (!warm && output == &spread) solver.capture_warm_start(profile);
-      ASSERT_EQ(observed.values.size(), times.size());
-      ASSERT_EQ(state.values.size(), times.size());
-      expect_same_work(observed.stats, state.stats);
-      EXPECT_EQ(observed.interior_records, state.interior_records);
-      if (warm) {
-        EXPECT_EQ(observed.stats.warm_starts, 1u);
-        EXPECT_GT(observed.interior_records, times.size() / 2);
-      }
-      for (std::size_t j = 0; j < times.size(); ++j) {
-        if (output == &crosslinks) {
-          // One weight-1 term: the same operations in the same order.
-          EXPECT_EQ(observed.values[j], state.values[j]) << "record " << j;
-        } else {
-          EXPECT_NEAR(observed.values[j], state.values[j],
-                      1e-12 * state.scales[j])
-              << "record " << j;
-        }
+  for (const Observable* output : {&spread, &crosslinks}) {
+    const Pass state = run(*output, false);
+    const Pass observed = run(*output, true);
+    ASSERT_EQ(observed.values.size(), times.size());
+    ASSERT_EQ(state.values.size(), times.size());
+    expect_same_work(observed.stats, state.stats);
+    EXPECT_EQ(observed.interior_records, state.interior_records);
+    EXPECT_GT(observed.interior_records, times.size() / 2);
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      if (output == &crosslinks) {
+        // One weight-1 term: the same operations in the same order.
+        EXPECT_EQ(observed.values[j], state.values[j]) << "record " << j;
+      } else {
+        EXPECT_NEAR(observed.values[j], state.values[j],
+                    1e-12 * state.scales[j])
+            << "record " << j;
       }
     }
   }
-  solver.set_warm_start(nullptr);
 }
 
 TEST(AdamsGear, ObservedOutputRequiresAnInstalledOutput) {

@@ -293,7 +293,7 @@ TEST(SparseLu, TinyDiagonalAtRefactorFallsBackToPivoting) {
 }
 
 TEST(SparseLu, CopySurvivesRefactorOfOriginal) {
-  // A FactorCache entry is a copy of the solver's factorization; the
+  // A step recording keeps a copy of the solver's factorization; the
   // solver then refactors its own object with other values.
   support::Xoshiro256 rng(23);
   const CsrMatrix a = CsrMatrix::from_dense(random_sparse_dense(50, 0.1, rng));
