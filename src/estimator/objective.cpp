@@ -300,6 +300,11 @@ Status ObjectiveFunction::evaluate_jacobian(const linalg::Vector& x,
   if (steps.size() != n || r.size() != m) {
     return support::invalid_argument("jacobian input size mismatch");
   }
+  if (jacobian.rows() != m || jacobian.cols() != n) {
+    return support::invalid_argument(support::str_format(
+        "jacobian must be %zu x %zu, got %zu x %zu", m, n, jacobian.rows(),
+        jacobian.cols()));
+  }
 
   // One full prefactor vector per FD column, shared read-only by that
   // column's file tasks. Built through the same x -> rates mapping a

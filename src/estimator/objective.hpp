@@ -148,7 +148,8 @@ class ObjectiveFunction {
   /// two solves on one grid; a replay whose Newton iteration fails, and
   /// every other file, runs an independent solve. When solves fail, the
   /// error of the lowest (column, file) task is returned, prefixed like
-  /// evaluate()'s.
+  /// evaluate()'s. `jacobian` must already be residual_size() x x.size();
+  /// any other shape returns invalid_argument before a solve runs.
   support::Status evaluate_jacobian(const linalg::Vector& x,
                                     const linalg::Vector& r,
                                     const linalg::Vector& steps,

@@ -90,8 +90,7 @@ support::Status finish_pipeline(BuiltModel& built,
   optimizer.timings = &built.timings;
   built.optimized =
       opt::optimize(built.odes.table, built.odes.table.size(),
-                    built.rates.size(), optimizer,
-                    pipeline.collect_report ? &built.report : nullptr);
+                    built.rates.size(), optimizer, &built.report);
   // The unoptimized baseline comes from the raw (uncombined) equations —
   // matching the paper's "without algebraic/CSE optimizations" rows.
   if (pipeline.build_reference_baseline) {
@@ -99,10 +98,8 @@ support::Status finish_pipeline(BuiltModel& built,
     built.program_unoptimized = codegen::emit_unoptimized(
         built.odes_raw.table, built.odes_raw.table.size(), built.rates.size());
     timer.stop();
-    if (pipeline.collect_report) {
-      built.report.before.multiplies = built.odes_raw.table.multiply_count();
-      built.report.before.add_subs = built.odes_raw.table.add_sub_count();
-    }
+    built.report.before.multiplies = built.odes_raw.table.multiply_count();
+    built.report.before.add_subs = built.odes_raw.table.add_sub_count();
   }
   // The optimized program additionally goes through the VM execution
   // pipeline (fuse superinstructions, compact registers): same arithmetic

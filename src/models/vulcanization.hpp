@@ -58,16 +58,11 @@ struct PipelineOptions {
   /// equation table, the unoptimized bytecode program, and the "before"
   /// operation counts. Executing a model needs none of them, so callers
   /// that only want the optimized program (rmsc --run, the estimator,
-  /// bench_compile's optimized mode) can skip roughly a third of the
-  /// compile by turning this off. BuiltModel::odes_raw and
-  /// program_unoptimized are left empty, and report.before holds the
-  /// simplified-table counts instead of the raw-table ones.
+  /// perfbench) can skip roughly a third of the compile by turning this
+  /// off. BuiltModel::odes_raw and program_unoptimized are left empty, and
+  /// report.before holds the simplified-table counts instead of the
+  /// raw-table ones.
   bool build_reference_baseline = true;
-  /// Fill BuiltModel::report (operation counts before/after optimization,
-  /// temp count, distinct-equation count). The counts walk every equation
-  /// and every interned entry, so timing-sensitive callers (bench_compile's
-  /// measured repeats) turn this off; the report is then left default.
-  bool collect_report = true;
 };
 
 /// Everything the pipeline produces for one model.

@@ -72,7 +72,7 @@ class Builder {
     // probe is skipped: duplicates copy their representative's sum id.
     std::unordered_map<std::uint64_t, support::SmallVector<std::uint32_t, 2>>
         first_occurrence;
-    const bool hash_dedup = options_.dedup_equations && rep_of == nullptr;
+    const bool hash_dedup = rep_of == nullptr;
     if (hash_dedup) first_occurrence.reserve(equations.size());
     for (std::size_t i = 0; i < equations.size(); ++i) {
       const FactoredSum& eq = equations[i];

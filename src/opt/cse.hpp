@@ -29,21 +29,16 @@ struct CseOptions {
   /// only structures the IR (ablation: DistOpt without CSE); every use is
   /// inlined and recomputed.
   bool enable_temporaries = true;
-  /// Skip the tree walk for equations structurally identical to an earlier
-  /// one (hash + verify, then reuse the interned sum id). Interning a
-  /// duplicate tree returns the existing id with no side effects, so output
-  /// is bit-identical with this off — off reproduces the seed pipeline's
-  /// cost profile (bench_compile's serial baseline).
-  bool dedup_equations = true;
 };
 
 /// Builds the optimized program from one factored tree per species equation.
 ///
-/// `rep_of`, when non-null, maps each equation index to the index of the
-/// first equation it is structurally identical to (rep_of[i] == i for
-/// representatives) — the grouping the memoized distributive pass already
-/// computed. The builder then interns only the representatives and copies
-/// their sum ids, skipping its own hash-based dedup entirely. Output is
+/// Equations structurally identical to an earlier one reuse its interned
+/// sum id instead of walking the tree again. `rep_of`, when non-null, maps
+/// each equation index to the index of the first equation it is
+/// structurally identical to (rep_of[i] == i for representatives), the
+/// grouping the distributive pass already computed; the builder then copies
+/// the representatives' ids and skips its own hash-based dedup. Output is
 /// bit-identical either way: interning a duplicate tree would return the
 /// same id with no side effects.
 OptimizedSystem build_optimized_system(

@@ -65,8 +65,6 @@ class FlatCounter {
     }
   }
 
-  void clear() { entries_.clear(); }
-
   [[nodiscard]] std::size_t distinct() const { return entries_.size(); }
 
   [[nodiscard]] bool counts(VarId v, std::uint32_t& out) const {
@@ -125,8 +123,6 @@ class MapCounter {
     }
   }
 
-  void clear() { counts_.clear(); }
-
   [[nodiscard]] std::size_t distinct() const { return counts_.size(); }
 
   [[nodiscard]] bool counts(VarId v, std::uint32_t& out) const {
@@ -162,32 +158,24 @@ template <typename Counter>
 /// Rows with at most this many products use the allocation-free FlatCounter.
 constexpr std::size_t kFlatProductLimit = 64;
 
-FactoredSum dist_opt(std::vector<Product> products, bool incremental);
+FactoredSum dist_opt(std::vector<Product> products);
 
 /// Fig. 6 lines 4-16 on a working set of products. Recursing on the divided
 /// product sets yields the fully nested factorization.
 ///
-/// With `incremental`, T = terms(P) is maintained across rounds: instead of
-/// rescanning every remaining product after each factoring round (the Fig. 6
-/// line 12 "P and T both shrank" step, quadratic over rounds), the counts of
-/// products moved into the factored subset are decremented out. Debug builds
-/// verify the counter against a fresh recount each round.
+/// T = terms(P) is maintained across rounds: instead of rescanning every
+/// remaining product after each factoring round (the Fig. 6 line 12 "P and
+/// T both shrank" step, quadratic over rounds), the counts of products
+/// moved into the factored subset are decremented out. Debug builds verify
+/// the counter against a fresh recount each round.
 template <typename Counter>
-FactoredSum dist_opt_impl(std::vector<Product> products, bool incremental) {
+FactoredSum dist_opt_impl(std::vector<Product> products) {
   FactoredSum result;
 
   Counter counts;
-  if (incremental) {
-    for (const Product& p : products) counts.add(p);
-  }
+  for (const Product& p : products) counts.add(p);
 
   while (!products.empty()) {
-    if (!incremental) {
-      // Fig. 6 line 12 taken literally: recount the surviving products from
-      // scratch every round.
-      counts.clear();
-      for (const Product& p : products) counts.add(p);
-    }
     VarId best{};
     std::uint32_t best_count = 0;
     counts.most_frequent(best, best_count);
@@ -212,7 +200,7 @@ FactoredSum dist_opt_impl(std::vector<Product> products, bool incremental) {
     for (std::size_t r = 0; r < products.size(); ++r) {
       Product& p = products[r];
       if (p.contains(best)) {
-        if (incremental) counts.remove(p);
+        counts.remove(p);
         Product quotient = std::move(p);
         quotient.divide_by(best);
         factored.push_back(std::move(quotient));
@@ -227,7 +215,7 @@ FactoredSum dist_opt_impl(std::vector<Product> products, bool incremental) {
     FactoredTerm term;
     term.factors.push_back(best);
     term.sub =
-        std::make_unique<FactoredSum>(dist_opt(std::move(factored), incremental));
+        std::make_unique<FactoredSum>(dist_opt(std::move(factored)));
     // Flatten k * (single-term sum) into one product-like term, restoring
     // the sorted-factors invariant.
     if (term.sub->size() == 1) {
@@ -239,7 +227,7 @@ FactoredSum dist_opt_impl(std::vector<Product> products, bool incremental) {
     }
     result.terms().push_back(std::move(term));
 
-    RMS_DCHECK(!incremental || counts_match(counts, products));
+    RMS_DCHECK(counts_match(counts, products));
   }
 
   result.sort_canonical();
@@ -250,25 +238,22 @@ FactoredSum dist_opt_impl(std::vector<Product> products, bool incremental) {
 /// (the tie-break is order-independent), so the choice affects only speed:
 /// small rows use the allocation-free flat counter, huge hub-species rows
 /// fall back to the hash table where linear probing would go quadratic.
-/// The non-incremental mode exists to reproduce the seed's cost profile, so
-/// it keeps the seed's hash-table counter unconditionally.
-FactoredSum dist_opt(std::vector<Product> products, bool incremental) {
-  if (incremental && products.size() <= kFlatProductLimit) {
-    return dist_opt_impl<FlatCounter>(std::move(products), incremental);
+FactoredSum dist_opt(std::vector<Product> products) {
+  if (products.size() <= kFlatProductLimit) {
+    return dist_opt_impl<FlatCounter>(std::move(products));
   }
-  return dist_opt_impl<MapCounter>(std::move(products), incremental);
+  return dist_opt_impl<MapCounter>(std::move(products));
 }
 
 }  // namespace
 
-FactoredSum distributive_optimize(const expr::SumOfProducts& equation,
-                                  bool incremental_frequency) {
+FactoredSum distributive_optimize(const expr::SumOfProducts& equation) {
   std::vector<Product> products;
   products.reserve(equation.size());
   for (const Product& p : equation.terms()) {
     if (p.coeff != 0.0) products.push_back(p);
   }
-  return dist_opt(std::move(products), incremental_frequency);
+  return dist_opt(std::move(products));
 }
 
 }  // namespace rms::opt

@@ -15,13 +15,10 @@ namespace rms::opt {
 /// Applies Fig. 6's DistOpt to one equation right-hand side. Deterministic:
 /// frequency ties break toward the canonically smallest variable.
 ///
-/// `incremental_frequency` selects how T = terms(P) is maintained across
-/// factoring rounds: true decrements the moved products' counts out of the
-/// table (O(moved) per round); false rescans every remaining product each
-/// round (the literal Fig. 6 line-12 restart — kept selectable so benchmarks
-/// can measure the incremental table against it). Both produce the same
-/// factorization bit for bit.
-expr::FactoredSum distributive_optimize(const expr::SumOfProducts& equation,
-                                        bool incremental_frequency = true);
+/// T = terms(P) is maintained incrementally across factoring rounds: the
+/// moved products' counts are decremented out of the table (O(moved) per
+/// round) instead of rescanning every remaining product as Fig. 6 line 12
+/// literally restarts. The factorization is the same.
+expr::FactoredSum distributive_optimize(const expr::SumOfProducts& equation);
 
 }  // namespace rms::opt

@@ -3,10 +3,10 @@
 // Every stage of the compile pipeline (parse, network generation, rate
 // processing, ODE generation, DistOpt, CSE, emission, fuse/regalloc,
 // Jacobian differentiation) reports its wall time into a PhaseTimings
-// carried on the BuiltModel. bench/bench_compile.cpp serializes these into
-// BENCH_compile.json — the compile-side analogue of BENCH_vm.json — and
-// table1_optimizations prints them next to the Table 1 rows so every
-// benchmark run doubles as compile-time regression data.
+// carried on the BuiltModel. perfbench reports them as its compile layers
+// (opt.distopt_s, opt.cse_s, ...), and table1_optimizations prints them next
+// to the Table 1 rows so every benchmark run doubles as compile-time
+// regression data.
 #pragma once
 
 #include <string>

@@ -52,12 +52,6 @@ OptimizedSystem optimize(const odegen::EquationTable& table,
   std::vector<expr::FactoredSum> factored(n);
   std::size_t distinct = n;
   std::vector<std::uint32_t> rep_of;
-  // When CSE will receive the memo grouping, duplicate slots in `factored`
-  // are never read — leave them empty instead of deep-copying the
-  // representative's tree into each one (the Jacobian table is ~99%
-  // duplicates, so this skips most of the copies and their destruction).
-  const bool share_groups = options.distributive && options.memoize_equations &&
-                            options.cse.dedup_equations;
 
   {
     PhaseTimer timer(options.timings, "distopt");
@@ -65,59 +59,36 @@ OptimizedSystem optimize(const odegen::EquationTable& table,
       support::parallel_for(options.pool, 0, n, 64, [&](std::size_t i) {
         factored[i] = expr::FactoredSum::from_sum_of_products(equations[i]);
       });
-    } else if (options.memoize_equations) {
+    } else {
       std::vector<std::uint32_t> reps;
       group_equations(equations, rep_of, reps);
       distinct = reps.size();
 
       // Optimize the representatives only; slot j belongs to reps[j], so
-      // results land by index regardless of which worker ran them.
+      // results land by index regardless of which worker ran them. The
+      // duplicate slots stay empty: CSE receives the grouping and never
+      // reads them (the Jacobian table is ~99% duplicates, so this skips
+      // most tree copies and their destruction).
       std::vector<expr::FactoredSum> rep_result(reps.size());
       support::parallel_for(
           options.pool, 0, reps.size(), 1, [&](std::size_t j) {
-            rep_result[j] = distributive_optimize(
-                equations[reps[j]], options.incremental_frequency);
+            rep_result[j] = distributive_optimize(equations[reps[j]]);
           });
-
-      // Duplicates copy from the representative's result; the representative
-      // itself takes the result by move (after all copies are done). When
-      // the grouping is being handed to CSE, the copies are skipped.
-      if (!share_groups) {
-        std::vector<std::uint32_t> slot_of_rep(n, 0);
-        for (std::size_t j = 0; j < reps.size(); ++j) {
-          slot_of_rep[reps[j]] = static_cast<std::uint32_t>(j);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rep_of[i] != i) factored[i] = rep_result[slot_of_rep[rep_of[i]]];
-        }
-      }
       for (std::size_t j = 0; j < reps.size(); ++j) {
         factored[reps[j]] = std::move(rep_result[j]);
       }
-    } else {
-      support::parallel_for(options.pool, 0, n, 1, [&](std::size_t i) {
-        factored[i] =
-            distributive_optimize(equations[i], options.incremental_frequency);
-      });
     }
   }
 
-  // When memoization grouped the equations, hand the grouping to CSE: its
-  // equation dedup can then copy duplicate ids directly instead of
-  // re-hashing every factored tree (and a table with no duplicates skips
-  // the pass entirely).
-  CseOptions cse = options.cse;
-  const std::vector<std::uint32_t>* groups = nullptr;
-  if (share_groups) {
-    if (distinct == n) {
-      cse.dedup_equations = false;
-    } else {
-      groups = &rep_of;
-    }
-  }
+  // Hand the DistOpt grouping to CSE: duplicates copy their
+  // representative's sum id instead of re-hashing every factored tree (and
+  // a table with no duplicates skips the hash pass entirely).
+  const std::vector<std::uint32_t>* groups =
+      options.distributive ? &rep_of : nullptr;
   PhaseTimer cse_timer(options.timings, "cse");
   OptimizedSystem system =
-      build_optimized_system(factored, species_count, rate_count, cse, groups);
+      build_optimized_system(factored, species_count, rate_count, options.cse,
+                             groups);
   cse_timer.stop();
 
   if (report != nullptr) {

@@ -16,22 +16,14 @@
 namespace rms::opt {
 
 struct OptimizerOptions {
-  /// Run the §3.2 distributive optimization per equation.
+  /// Run the §3.2 distributive optimization per equation. It runs once per
+  /// group of structurally identical equations and CSE copies the
+  /// representative's result to the duplicates. Jacobian tables repeat
+  /// entries heavily (rate laws differentiate to the same few shapes), so
+  /// this skips most of the work; DistOpt is a pure function of the
+  /// equation, so the output is the same as optimizing each one.
   bool distributive = true;
   CseOptions cse;
-
-  /// Optimize one representative per group of structurally identical
-  /// equations and copy the result to the duplicates. Jacobian tables repeat
-  /// entries heavily (rate laws differentiate to the same few shapes), so
-  /// this skips most DistOpt work; output is bit-identical because DistOpt
-  /// is a pure function of the equation.
-  bool memoize_equations = true;
-
-  /// Maintain DistOpt's per-variable frequency table incrementally across
-  /// factoring rounds instead of recounting the surviving products each
-  /// round. Same output either way; off reproduces the seed pipeline's cost
-  /// profile (bench_compile's serial baseline).
-  bool incremental_frequency = true;
 
   /// Worker pool for the per-equation DistOpt fan-out; null runs serially.
   const support::ThreadPool* pool = nullptr;
@@ -54,7 +46,7 @@ struct OptimizationReport {
   OperationCount after;   ///< emitted optimized program op counts
   std::size_t temp_count = 0;
   /// Distinct equations actually run through DistOpt (== equation count when
-  /// memoization is off or every equation is unique).
+  /// every equation is unique or `distributive` is off).
   std::size_t distinct_equations = 0;
 
   [[nodiscard]] double multiply_fraction() const {

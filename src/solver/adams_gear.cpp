@@ -630,6 +630,15 @@ support::Status AdamsGear::advance(double t_target) {
     return support::Status(support::StatusCode::kFailedPrecondition,
                            "initialize() must be called first");
   }
+  // Only the newest step's interval can be interpolated; an earlier target
+  // would extrapolate the history polynomial backwards.
+  const double earliest =
+      history_.size() > 1 ? history_[1].t : history_.front().t;
+  if (t_target < earliest) {
+    return support::invalid_argument(
+        support::str_format("cannot integrate backwards: target %g < %g",
+                            t_target, earliest));
+  }
   std::size_t steps = 0;
   // h is the error controller's, never clamped to the target: the loop
   // stops as soon as the newest accepted step passes t_target, so the

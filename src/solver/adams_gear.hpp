@@ -142,7 +142,8 @@ class AdamsGear final : public OdeSolver {
   };
 
   /// Steps until the newest history point reaches t_target; the record
-  /// loop shared by advance_to and advance_to_observed.
+  /// loop shared by advance_to and advance_to_observed. Rejects a target
+  /// before the newest step's start (before t0 if no step was taken).
   support::Status advance(double t_target);
   support::Status step();
   /// Takes the next recorded step of replay_.

@@ -135,8 +135,11 @@ class OdeSolver {
   virtual support::Status initialize(double t0,
                                      const std::vector<double>& y0) = 0;
 
-  /// Integrates forward and writes y(t_target) to `y_out`. t_target must be
-  /// >= the current time.
+  /// Integrates forward and writes y(t_target) to `y_out`. The solver may
+  /// already have stepped past t_target (current_time() is routinely beyond
+  /// the previous target), and then interpolates inside its newest step.
+  /// A target before the start of that step returns invalid_argument, so
+  /// targets must not decrease from one call to the next.
   virtual support::Status advance_to(double t_target,
                                      std::vector<double>& y_out) = 0;
 

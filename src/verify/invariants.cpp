@@ -201,24 +201,6 @@ std::vector<Divergence> check_invariants(const models::BuiltModel& built,
     }
   }
 
-  // ------------------------------------------------------- seed switches
-  if (options.check_seed_switches) {
-    opt::OptimizerOptions seed_profile = opt::OptimizerOptions::full();
-    seed_profile.memoize_equations = false;
-    seed_profile.incremental_frequency = false;
-    seed_profile.cse.dedup_equations = false;
-    const std::string diff =
-        compare_programs(recompile(built, opt::OptimizerOptions::full(),
-                                   nullptr),
-                         recompile(built, seed_profile, nullptr));
-    if (!diff.empty()) {
-      failures.push_back(invariant_failure(model_name, "seed-switch",
-                                           "memoized+incremental",
-                                           "seed profile", options.seed,
-                                           diff));
-    }
-  }
-
   return failures;
 }
 

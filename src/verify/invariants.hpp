@@ -11,10 +11,6 @@
 //                  determinism contract).
 //   opt-level      the fully optimized build and the optimization-free
 //                  build evaluate to the same RHS (reassociation-tolerant).
-//   seed-switch    the PR-2 compile-cost switches (equation memoization,
-//                  incremental frequency tables, CSE equation dedup) change
-//                  compile time, never compiled code: all-off must be
-//                  bit-identical to all-on.
 //
 // Failures are reported as verify::Divergence values with the stage field
 // naming the violated invariant.
@@ -35,7 +31,6 @@ struct InvariantOptions {
   bool check_conservation = true;
   bool check_thread_invariance = true;
   bool check_opt_level_equivalence = true;
-  bool check_seed_switches = true;
   /// |w . f| <= tolerance * (|w| . |f| + 1): conservation residual bound.
   double conservation_tolerance = 1e-9;
   /// Caps for the thread-invariance network regeneration; must match the
@@ -45,9 +40,9 @@ struct InvariantOptions {
 };
 
 /// Runs the configured invariants on a built model; returns one Divergence
-/// per violated invariant (empty = all hold). Thread invariance and the
-/// seed switches recompile the model from its equation tables, so the cost
-/// is a few extra compiles of the same size.
+/// per violated invariant (empty = all hold). Thread invariance and
+/// opt-level equivalence recompile the model from its equation tables, so
+/// the cost is a few extra compiles of the same size.
 std::vector<Divergence> check_invariants(const models::BuiltModel& built,
                                          const std::string& model_name,
                                          const InvariantOptions& options = {});

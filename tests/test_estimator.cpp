@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "codegen/bytecode_emitter.hpp"
 #include "codegen/jacobian.hpp"
@@ -229,6 +230,32 @@ TEST(Objective, ParameterCountValidated) {
                               model.true_rates);
   linalg::Vector r;
   EXPECT_FALSE(objective.evaluate({1.0}, r).is_ok());
+}
+
+TEST(Objective, JacobianShapeValidated) {
+  // A mis-sized matrix is refused before any solve, not written out of
+  // bounds.
+  TinyModel model;
+  std::vector<Experiment> experiments;
+  experiments.push_back(model.make_experiment(1.0, 30));
+  ObjectiveFunction objective(model.program, model.observable,
+                              std::move(experiments), {0, 1},
+                              model.true_rates);
+  const linalg::Vector x = {1.0, 0.5};
+  linalg::Vector r;
+  ASSERT_TRUE(objective.evaluate(x, r).is_ok());
+  const std::size_t solves = objective.solver_stats().solves;
+  const std::size_t m = objective.residual_size();
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{m, 1}, {m - 1, 2}, {0, 0}}) {
+    linalg::Matrix jacobian(rows, cols);
+    EXPECT_EQ(objective.evaluate_jacobian(x, r, {1e-4, 1e-4}, jacobian).code(),
+              support::StatusCode::kInvalidArgument)
+        << rows << " x " << cols;
+  }
+  EXPECT_EQ(objective.solver_stats().solves, solves);
+  linalg::Matrix jacobian(m, 2);
+  EXPECT_TRUE(objective.evaluate_jacobian(x, r, {1e-4, 1e-4}, jacobian).is_ok());
 }
 
 TEST(Estimator, RecoversGroundTruthParameters) {

@@ -4,6 +4,7 @@
 // that optimization never increases operation counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "expr/factored.hpp"
@@ -393,6 +394,46 @@ TEST(Pipeline, ReportFractions) {
   EXPECT_GT(report.before.multiplies, 0u);
   EXPECT_LE(report.multiply_fraction(), 1.0);
   EXPECT_LE(report.total_fraction(), 1.0);
+}
+
+TEST(Pipeline, MemoizedMatchesPerEquationOptimization) {
+  // optimize() runs DistOpt once per group of structurally identical
+  // equations and hands the grouping to CSE. Optimizing every equation on
+  // its own and letting CSE hash-dedup them must emit the same program. The
+  // table repeats each distinct equation three times in shuffled order; one
+  // of them is empty, so its duplicates copy an empty representative.
+  support::Xoshiro256 rng(2024);
+  std::vector<SumOfProducts> distinct;
+  for (int i = 0; i < 6; ++i) distinct.push_back(random_equation(rng, 12));
+  distinct.emplace_back();
+  const std::size_t m = distinct.size();  // 7, prime: each round permutes
+  std::vector<SumOfProducts> eqs;
+  for (std::size_t round = 1; round <= 3; ++round) {
+    for (std::size_t i = 0; i < m; ++i) {
+      eqs.push_back(distinct[(i * round + round) % m]);
+    }
+  }
+  const std::size_t n = eqs.size();
+  odegen::EquationTable table = table_from(eqs);
+
+  OptimizationReport report;
+  const OptimizedSystem memoized =
+      optimize(table, n, 3, OptimizerOptions::full(), &report);
+  EXPECT_EQ(report.distinct_equations, m);
+  EXPECT_LT(report.distinct_equations, n);
+
+  std::vector<FactoredSum> factored;
+  for (const SumOfProducts& eq : eqs) {
+    factored.push_back(distributive_optimize(eq));
+  }
+  const OptimizedSystem reference = build_optimized_system(factored, n, 3);
+
+  EXPECT_EQ(memoized.to_string(), reference.to_string());
+  EXPECT_EQ(memoized.equations, reference.equations);
+  EXPECT_EQ(memoized.temp_count(), reference.temp_count());
+  EXPECT_EQ(std::count(memoized.equations.begin(), memoized.equations.end(),
+                       kNoExpr),
+            3);
 }
 
 }  // namespace

@@ -140,6 +140,22 @@ TEST_P(BothSolvers, RejectsBeforeInitialize) {
   EXPECT_FALSE(solver->advance_to(1.0, y).is_ok());
 }
 
+TEST_P(BothSolvers, RejectsBackwardTargets) {
+  // A target before the newest step's start (before t0 when no step has
+  // been taken) would need extrapolation; both solvers refuse it. A target
+  // the solver has already stepped past, inside the newest step, is fine.
+  auto solver = make(exponential_decay(1.0));
+  ASSERT_TRUE(solver->initialize(1.0, {1.0}).is_ok());
+  std::vector<double> y;
+  EXPECT_EQ(solver->advance_to(0.5, y).code(),
+            support::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(solver->advance_to(1.0, y).is_ok());
+  ASSERT_TRUE(solver->advance_to(10.0, y).is_ok());
+  EXPECT_TRUE(solver->advance_to(10.0, y).is_ok());
+  EXPECT_EQ(solver->advance_to(2.0, y).code(),
+            support::StatusCode::kInvalidArgument);
+}
+
 TEST_P(BothSolvers, RejectsDimensionMismatch) {
   auto solver = make(exponential_decay(1.0));
   EXPECT_FALSE(solver->initialize(0.0, {1.0, 2.0}).is_ok());

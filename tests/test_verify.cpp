@@ -211,7 +211,6 @@ TEST(Invariants, ViolationsAreReportedWithInvariantStage) {
   InvariantOptions options;
   options.check_conservation = false;     // runs on the clean program
   options.check_thread_invariance = false;  // both sides equally faulty
-  options.check_seed_switches = false;      // both sides equally faulty
   const auto failures = check_invariants(built, "tc-small", options);
   ASSERT_FALSE(failures.empty());
   EXPECT_EQ(failures.front().stage, "invariant:opt-level");

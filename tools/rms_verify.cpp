@@ -23,7 +23,7 @@
 //   --native         force the native paths ON in fuzz mode (they default
 //                    off there; the backend's .so cache keeps the per-case
 //                    compile cost bounded)
-//   --no-invariants  skip conservation/thread/opt-level/seed-switch checks
+//   --no-invariants  skip conservation/thread/opt-level checks
 //   --no-bisect      report divergences without stage attribution
 //   -v               verbose (per-model path lists, fuzz progress)
 //
