@@ -9,7 +9,9 @@
 //     compiler (-O2 -ffp-contract=off).
 //   - Backend construction: cold compile (fresh cache directory) vs a
 //     cache hit on the same key — the cost the content-addressed .so cache
-//     removes from every run after the first.
+//     removes from every run after the first — and the hit's emit time
+//     (source generation plus hashing, NativeCompileInfo::emit_seconds),
+//     the part of a hit that is neither dlopen nor compile.
 //   - End-to-end estimator objective (sparse-Newton integration over
 //     synthetic experiments): VM + compiled Jacobian vs the native module.
 //
@@ -23,6 +25,8 @@
 //   --repeats=N   timing repeats; the fastest is reported (default 3)
 //   --json=PATH   output path (default BENCH_native.json)
 //   --skip-estimator  RHS + construction measurements only
+//
+// Exits non-zero when the rerun on the warm cache does not hit it.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -90,7 +94,9 @@ struct CaseResult {
   double native_scalar_ns = 0.0;
   double native_batch_ns = 0.0;
   double cold_seconds = 0.0;
+  double cold_emit_seconds = 0.0;
   double warm_seconds = 0.0;
+  double warm_emit_seconds = 0.0;
 };
 
 CaseResult bench_case(int tc, double scale, std::size_t lanes, int repeats) {
@@ -118,6 +124,7 @@ CaseResult bench_case(int tc, double scale, std::size_t lanes, int repeats) {
     std::exit(1);
   }
   result.cold_seconds = (*native)->info().total_seconds;
+  result.cold_emit_seconds = (*native)->info().emit_seconds;
   {
     auto warm = codegen::NativeBackend::create(
         built->optimized, &built->odes.table, n, rate_count, options);
@@ -126,6 +133,7 @@ CaseResult bench_case(int tc, double scale, std::size_t lanes, int repeats) {
       std::exit(1);
     }
     result.warm_seconds = (*warm)->info().total_seconds;
+    result.warm_emit_seconds = (*warm)->info().emit_seconds;
   }
 
   // Shared random inputs for every eval mode.
@@ -266,9 +274,10 @@ int main(int argc, char** argv) {
 
   std::printf("native backend benchmark: scale=%.3g lanes=%zu repeats=%d\n\n",
               scale, lanes, repeats);
-  std::printf("%-5s %9s | %12s %12s %12s %12s | %8s %10s %8s\n", "case",
-              "equations", "vm ns", "vm-batch ns", "nat ns", "nat-batch ns",
-              "cold s", "cache-hit s", "speedup");
+  std::printf("%-5s %9s | %12s %12s %12s %12s | %8s %11s %10s %8s\n",
+              "case", "equations", "vm ns", "vm-batch ns", "nat ns",
+              "nat-batch ns", "cold s", "cache-hit s", "hit-emit s",
+              "speedup");
 
   std::vector<std::string> case_json;
   double worst_batch_speedup = 1e30;
@@ -279,10 +288,12 @@ int main(int argc, char** argv) {
     const double cache_ratio = r.cold_seconds / r.warm_seconds;
     worst_batch_speedup = std::min(worst_batch_speedup, batch_speedup);
     worst_cache_ratio = std::min(worst_cache_ratio, cache_ratio);
-    std::printf("%-5s %9zu | %12.1f %12.1f %12.1f %12.1f | %8.3f %10.6f %7.1fx\n",
-                r.name.c_str(), r.equations, r.vm_scalar_ns, r.vm_batch_ns,
-                r.native_scalar_ns, r.native_batch_ns, r.cold_seconds,
-                r.warm_seconds, batch_speedup);
+    std::printf(
+        "%-5s %9zu | %12.1f %12.1f %12.1f %12.1f | %8.3f %11.6f %10.6f "
+        "%7.1fx\n",
+        r.name.c_str(), r.equations, r.vm_scalar_ns, r.vm_batch_ns,
+        r.native_scalar_ns, r.native_batch_ns, r.cold_seconds, r.warm_seconds,
+        r.warm_emit_seconds, batch_speedup);
     case_json.push_back(
         bench::JsonObject()
             .add("name", r.name)
@@ -295,7 +306,9 @@ int main(int argc, char** argv) {
             .add("native_scalar_speedup_vs_vm_scalar",
                  r.vm_scalar_ns / r.native_scalar_ns)
             .add("cold_compile_seconds", r.cold_seconds)
+            .add("cold_emit_seconds", r.cold_emit_seconds)
             .add("cache_hit_seconds", r.warm_seconds)
+            .add("cache_hit_emit_seconds", r.warm_emit_seconds)
             .add("cache_hit_speedup", cache_ratio)
             .str());
   }

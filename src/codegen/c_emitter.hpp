@@ -12,14 +12,18 @@
 // emit_c_unoptimized produces the naive form (one giant expression per
 // equation — the machine-generated code that "stresses commercial compilers
 // to the point of failure"); emit_c_optimized produces the temp-structured
-// form after DistOpt + CSE. emit_c_batch wraps the optimized body in a loop
-// over `n` lane-major contiguous states (lane l's state at ys + l * dim,
-// the layout of vm::Interpreter::run_batch_shared_k) with restrict-
-// qualified pointers so the host compiler can vectorize and pipeline across
-// the straight-line body. emit_c_jacobian takes the *Jacobian's* optimized
-// system (one equation per nonzero entry, codegen::differentiate order) and
-// emits a CSR-fill function writing the nonzero values in the exact layout
-// of codegen::CompiledJacobian.
+// form after DistOpt + CSE. emit_c_batch emits the optimized scalar function
+// followed by a loop that calls it once per lane over `n` lane-major
+// contiguous states (lane l's state at ys + l * dim, the layout of
+// vm::Interpreter::run_batch_shared_k), so the body is compiled once and
+// every lane is bit-identical to a scalar call. emit_c_jacobian takes the
+// *Jacobian's* optimized system (one equation per nonzero entry,
+// codegen::differentiate order) and emits a CSR-fill function writing the
+// nonzero values in the exact layout of codegen::CompiledJacobian.
+//
+// All four emitters stream into one output string (std::to_chars for every
+// number): the native backend re-emits and hashes the whole unit on every
+// construction, cache hits included.
 #pragma once
 
 #include <string>
@@ -39,9 +43,11 @@ std::string emit_c_unoptimized(const odegen::EquationTable& table,
 std::string emit_c_optimized(const opt::OptimizedSystem& system,
                              const CEmitOptions& options = {});
 
-/// Batched multi-state RHS over the optimized system. The system's
-/// species_count must be set (opt::optimize fills it); output stride equals
-/// the equation count.
+/// Self-contained batched unit: the scalar function `options.function_name`
+/// (byte-identical to emit_c_optimized's) followed by
+/// `<function_name>_batch(t, ys, k, ydots, n)`, which calls it for each of
+/// the n lanes. The system's species_count must be set (opt::optimize fills
+/// it); it is the input stride, the equation count the output stride.
 std::string emit_c_batch(const opt::OptimizedSystem& system,
                          const CEmitOptions& options = {});
 
@@ -49,5 +55,10 @@ std::string emit_c_batch(const opt::OptimizedSystem& system,
 /// codegen::differentiate CSR order): jac[e] = entry e.
 std::string emit_c_jacobian(const opt::OptimizedSystem& jacobian_system,
                             const CEmitOptions& options = {});
+
+/// Appends a coefficient literal exactly as printf would: "%.1f" for
+/// integral values below 1e15 in magnitude, otherwise "%.17g" (which
+/// round-trips every double).
+void append_c_number(std::string& out, double value);
 
 }  // namespace rms::codegen

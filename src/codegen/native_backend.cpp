@@ -26,10 +26,13 @@ namespace {
 constexpr const char* kCacheFormatVersion = "rms-native-v1";
 
 constexpr const char* kRhsSymbol = "rms_ode_rhs";
+// emit_c_batch names the batched loop after the scalar function.
 constexpr const char* kBatchSymbol = "rms_ode_rhs_batch";
 constexpr const char* kJacSymbol = "rms_ode_jac";
 
 std::atomic<std::uint64_t> g_compiler_invocations{0};
+/// Tells apart the temporaries of constructions in one process.
+std::atomic<std::uint64_t> g_temp_serial{0};
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t hash) {
   for (unsigned char c : data) {
@@ -113,11 +116,9 @@ support::Expected<std::unique_ptr<NativeBackend>> NativeBackend::create(
 
   // ------------------------------------------------- emit the C source
   const bool want_jacobian = options.emit_jacobian && equations != nullptr;
-  std::string source = emit_c_optimized(system, {kRhsSymbol});
-  if (options.emit_batch) {
-    source += '\n';
-    source += emit_c_batch(system, {kBatchSymbol});
-  }
+  std::string source = options.emit_batch
+                           ? emit_c_batch(system, {kRhsSymbol})
+                           : emit_c_optimized(system, {kRhsSymbol});
   if (want_jacobian) {
     SymbolicJacobian symbolic = differentiate(*equations, species_count);
     backend->row_offsets_ = std::move(symbolic.row_offsets);
@@ -137,6 +138,7 @@ support::Expected<std::unique_ptr<NativeBackend>> NativeBackend::create(
   std::uint64_t key = fnv1a(kCacheFormatVersion, 1469598103934665603ull);
   key = fnv1a(source, key);
   key = fnv1a(command_template, key);
+  backend->info_.emit_seconds = total_timer.seconds();
 
   const std::string cache_dir = resolve_cache_dir(options);
   if (!make_dirs(cache_dir)) {
@@ -189,11 +191,14 @@ support::Expected<std::unique_ptr<NativeBackend>> NativeBackend::create(
   }
 
   // ------------------------------------------------ compile + publish
-  // Private temp names (pid-qualified) so concurrent processes racing on
-  // the same key never write through each other; rename() publishes the
-  // finished object atomically.
-  const std::string tmp_tag =
-      support::str_format(".tmp.%d", static_cast<int>(::getpid()));
+  // Private temp names (pid plus a per-process serial) so concurrent
+  // processes, and threads of one process, racing on the same key never
+  // write through each other; rename() publishes the finished object
+  // atomically.
+  const std::string tmp_tag = support::str_format(
+      ".tmp.%d.%llu", static_cast<int>(::getpid()),
+      static_cast<unsigned long long>(
+          g_temp_serial.fetch_add(1, std::memory_order_relaxed)));
   const std::string c_path = stem + tmp_tag + ".c";
   const std::string tmp_so_path = stem + tmp_tag + ".so";
   if (!write_text_file(c_path, source)) {

@@ -3,20 +3,22 @@
 // The paper's compiler ultimately emits *C code* ("The output from the
 // Equation Generator is a C code function that evaluates the ODEs"). This
 // backend promotes that path to a first-class execution engine: it emits
-// the optimized RHS (scalar and batched) plus the analytic Jacobian as one
-// C translation unit, compiles it with the system C compiler into a shared
-// object, and dlopen()s the result. Every RHS and Jacobian evaluation then
-// runs as host-compiler-optimized machine code instead of through the
-// bytecode interpreter.
+// the optimized scalar RHS, a batched RHS that loops over it, and the
+// analytic Jacobian as one C translation unit, compiles it with the system
+// C compiler into a shared object, and dlopen()s the result. Every RHS and
+// Jacobian evaluation then runs as host-compiler-optimized machine code
+// instead of through the bytecode interpreter.
 //
 // Compilation cost is paid exactly once per distinct model: shared objects
 // live in a content-addressed on-disk cache keyed by an FNV-1a hash of the
-// emitted source plus the full compiler command line. Entries are
+// emitted source plus the full compiler command line, so every
+// construction, a cache hit included, differentiates and optimizes the
+// Jacobian, emits the unit and hashes it before it can dlopen. Entries are
 // published with a write-to-temporary + atomic rename() protocol, so
-// concurrent processes (a ctest -j sweep, parallel estimator runs) racing
-// on the same model each end up with a valid entry and at most one wasted
-// compile; a corrupted entry (truncated write, bad file) is detected at
-// dlopen/dlsym time, evicted, and recompiled once.
+// concurrent processes and threads (a ctest -j sweep, parallel estimator
+// runs) racing on the same model each end up with a valid entry and at
+// most one wasted compile each; a corrupted entry (truncated write, bad
+// file) is detected at dlopen/dlsym time, evicted, and recompiled once.
 //
 // Environment:
 //   RMS_CC         compiler executable (default "cc"); construction fails
@@ -43,8 +45,9 @@ namespace rms::codegen {
 /// Signature of the emitted scalar entry points (RHS and Jacobian fill).
 using NativeRhsFn = void (*)(double t, const double* y, const double* k,
                              double* out);
-/// Signature of the emitted batched RHS (lane-major contiguous states, the
-/// layout of vm::Interpreter::run_batch_shared_k).
+/// Signature of the emitted batched RHS: a loop calling the scalar RHS once
+/// per lane over lane-major contiguous states (the layout of
+/// vm::Interpreter::run_batch_shared_k).
 using NativeBatchFn = void (*)(double t, const double* ys, const double* k,
                                double* ydots, long n);
 
@@ -62,7 +65,8 @@ struct NativeBackendOptions {
   /// (the fresh object still replaces the cached one) — benchmark cold
   /// paths use this.
   bool use_cache = true;
-  /// Emit + resolve the batched RHS entry point.
+  /// Emit + resolve the batched RHS entry point (a lane loop over the
+  /// scalar one).
   bool emit_batch = true;
   /// Emit + resolve the analytic Jacobian (requires the pre-CSE equation
   /// table at create()).
@@ -72,6 +76,10 @@ struct NativeBackendOptions {
 /// How one backend construction was satisfied.
 struct NativeCompileInfo {
   bool cache_hit = false;
+  /// Source generation (the Jacobian's differentiate + optimize included)
+  /// plus hashing it into the key: the part of a cache hit that is neither
+  /// dlopen nor compile.
+  double emit_seconds = 0.0;
   double compile_seconds = 0.0;  ///< compiler wall time (0 on a cache hit)
   double total_seconds = 0.0;    ///< emit + compile + dlopen
   std::string object_path;       ///< the published shared object

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codegen/bytecode_emitter.hpp"
@@ -223,6 +224,55 @@ TEST(NativeBackend, SecondConstructionHitsCache) {
   EXPECT_EQ((*warm)->info().key, (*cold)->info().key);
   EXPECT_EQ((*warm)->info().object_path, (*cold)->info().object_path);
   check_against_vm(*built, **warm, 23, 3);
+}
+
+// Threads of one process building the same key at once: each compiles into
+// its own temporaries, so every one publishes a loadable object and they
+// agree. With temporaries named by the pid alone, most runs fail here.
+TEST(NativeBackend, ConcurrentSameKeyBuildsInOneProcessAllSucceed) {
+  if (!have_cc()) GTEST_SKIP() << "no system C compiler";
+  auto built = models::build_test_case({2, 3});
+  ASSERT_TRUE(built.is_ok());
+  TempCacheDir cache;
+  NativeBackendOptions options = test_options(cache);
+  options.use_cache = false;
+
+  constexpr std::size_t kThreads = 4;
+  const std::uint64_t before = NativeBackend::compiler_invocations();
+  std::vector<support::Expected<std::unique_ptr<NativeBackend>>> results;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    results.emplace_back(support::internal_error("not built"));
+  }
+  std::vector<std::thread> threads;
+  for (auto& result : results) {
+    threads.emplace_back([&] {
+      result = NativeBackend::create(built->optimized, &built->odes.table,
+                                     built->equation_count(),
+                                     built->rates.size(), options);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(NativeBackend::compiler_invocations(), before + kThreads);
+
+  const std::size_t n = built->equation_count();
+  const std::vector<double> k = built->rates.values();
+  const std::vector<double> y(n, 0.75);
+  std::vector<std::vector<double>> outputs;
+  for (auto& result : results) {
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_FALSE((*result)->info().cache_hit);
+    std::vector<double> ydot(n, 0.0);
+    (*result)->rhs(0.5, y.data(), k.data(), ydot.data());
+    outputs.push_back(std::move(ydot));
+    check_against_vm(*built, **result, 41, 2);
+  }
+  for (std::size_t i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(outputs[i], outputs[0]);
+    EXPECT_EQ((*results[i])->info().object_path,
+              (*results[0])->info().object_path);
+  }
+  // Only the published object is left: no thread's temporaries remain.
+  EXPECT_EQ(cache.entries().size(), 1u);
 }
 
 TEST(NativeBackend, DifferentFlagsMissTheCache) {

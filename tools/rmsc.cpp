@@ -6,7 +6,8 @@
 // Options:
 //   --emit=c          write the optimized C function (default)
 //   --emit=c-raw      write the unoptimized C function
-//   --emit=c-batch    write the batched multi-state C function
+//   --emit=c-batch    write the optimized C function plus a batched
+//                     multi-state function that calls it once per lane
 //   --emit=c-jac      write the analytic-Jacobian CSR-fill C function
 //   --emit=network    print the reaction network (Fig. 3 form)
 //   --emit=odes       print the generated ODEs (Fig. 5 form)
@@ -250,7 +251,7 @@ int main(int argc, char** argv) {
     output = codegen::emit_c_unoptimized(built->odes_raw.table,
                                          {function_name});
   } else if (emit == "c-batch") {
-    output = codegen::emit_c_batch(built->optimized, {function_name + "_batch"});
+    output = codegen::emit_c_batch(built->optimized, {function_name});
   } else if (emit == "c-jac") {
     codegen::SymbolicJacobian jacobian =
         codegen::differentiate(built->odes.table, built->equation_count());
