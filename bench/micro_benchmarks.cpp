@@ -1,12 +1,14 @@
 // Google-benchmark micro benchmarks for the hot components: the
 // distributive optimization, CSE construction, bytecode interpretation,
-// SMILES canonicalization, BDF stepping, LPT scheduling and the sparse LU
-// of a stiff Newton iteration matrix (analysis, refactor, solve) — plus the
+// SMILES canonicalization, BDF stepping, one observed record read, parsing
+// an experiment file, LPT scheduling and the sparse LU of a stiff Newton
+// iteration matrix (analysis, refactor, solve) — plus the
 // vm_dispatch suite comparing the seed switch interpreter against the
 // threaded/fused/compacted/batched execution engine. main() writes the
 // vm_dispatch results to BENCH_vm.json (override with --vm-json=PATH).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 
@@ -15,6 +17,7 @@
 #include "chem/smiles.hpp"
 #include "codegen/bytecode_emitter.hpp"
 #include "codegen/jacobian.hpp"
+#include "data/experiment.hpp"
 #include "linalg/sparse.hpp"
 #include "models/test_cases.hpp"
 #include "opt/cse.hpp"
@@ -130,6 +133,62 @@ void BM_GearIntegrationStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GearIntegrationStep);
+
+// One record read inside the newest step (advance_to_observed) at BDF
+// order 1-5: the per-record cost of the objective, which reads thousands of
+// records per file per evaluation.
+void BM_ObservedRecord(benchmark::State& state) {
+  const int order = static_cast<int>(state.range(0));
+  solver::IntegrationOptions options;
+  options.max_order = order;
+  solver::AdamsGear solver(
+      solver::OdeSystem{1, [](double, const double* y, double* ydot) {
+                          ydot[0] = -y[0];
+                        }},
+      options);
+  solver::Observable output;
+  output.weighted_species = {{0, 1.0}};
+  solver.set_output(&output);
+  (void)solver.initialize(0.0, {1.0});
+  constexpr double kRecord = 3.0;
+  double value = 0.0;
+  if (!solver.advance_to_observed(kRecord, value).is_ok() ||
+      solver.current_order() != order || !(solver.current_time() > kRecord)) {
+    state.SkipWithError("solve did not reach the order past the record");
+    return;
+  }
+  for (auto _ : state) {
+    (void)solver.advance_to_observed(kRecord, value);
+    benchmark::DoNotOptimize(value);
+  }
+}
+BENCHMARK(BM_ObservedRecord)->DenseRange(1, 5);
+
+// Parsing a 3200-record experiment file (the record count of the paper's
+// data files and of perfbench fit_arrhenius).
+void BM_ParseExperiment(benchmark::State& state) {
+  data::ExperimentData data;
+  data.name = "formulation-01";
+  data.property = "crosslink-concentration";
+  constexpr std::size_t kRecords = 3200;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    const double t = 0.05 * static_cast<double>(i + 1);
+    data.times.push_back(t);
+    data.values.push_back(1.0 - std::exp(-0.3 * t));
+  }
+  const std::string text = data::format_experiment(data);
+  for (auto _ : state) {
+    auto parsed = data::parse_experiment(text);
+    if (!parsed.is_ok()) {
+      state.SkipWithError("parse failed");
+      return;
+    }
+    benchmark::DoNotOptimize(parsed->times.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+  state.SetBytesProcessed(state.iterations() * text.size());
+}
+BENCHMARK(BM_ParseExperiment)->Unit(benchmark::kMicrosecond);
 
 /// Newton iteration matrix M = d0*I - J of TC3 at 5% scale (n = 1229) at its
 /// initial state, d0 = 100: the system the estimator factors hundreds of

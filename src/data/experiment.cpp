@@ -1,5 +1,8 @@
 #include "data/experiment.hpp"
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +12,27 @@
 namespace rms::data {
 
 using support::Status;
+
+namespace {
+
+bool is_space(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+/// A trimmed record line "<t> <value>" parsed in place. from_chars accepts a
+/// subset of what strtod does and rounds the same way (correctly), so a line
+/// it takes parses to the bits the general route would give; false sends
+/// the line to that route, which decides whether it is malformed.
+bool parse_record(std::string_view line, double& t, double& v) {
+  const char* const end = line.data() + line.size();
+  auto [p, ec] = std::from_chars(line.data(), end, t);
+  if (ec != std::errc() || p == end || !is_space(*p)) return false;
+  while (p != end && is_space(*p)) ++p;
+  const auto second = std::from_chars(p, end, v);
+  return second.ec == std::errc() && second.ptr == end;
+}
+
+}  // namespace
 
 support::Expected<ExperimentData> parse_experiment(const std::string& text) {
   ExperimentData data;
@@ -34,17 +58,28 @@ support::Expected<ExperimentData> parse_experiment(const std::string& text) {
       }
       continue;
     }
-    auto fields = support::split_whitespace(line);
-    if (fields.size() != 2) {
-      return support::parse_error(support::str_format(
-          "experiment line %zu: expected '<t> <value>'", line_number));
-    }
     double t = 0.0;
     double v = 0.0;
-    if (!support::parse_double(fields[0], t) ||
-        !support::parse_double(fields[1], v)) {
+    if (!parse_record(line, t, v)) {
+      // Hexadecimal, a leading '+', out-of-range magnitudes and malformed
+      // lines: split on whitespace and read each field with strtod.
+      auto fields = support::split_whitespace(line);
+      if (fields.size() != 2) {
+        return support::parse_error(support::str_format(
+            "experiment line %zu: expected '<t> <value>'", line_number));
+      }
+      if (!support::parse_double(fields[0], t) ||
+          !support::parse_double(fields[1], v)) {
+        return support::parse_error(support::str_format(
+            "experiment line %zu: malformed number", line_number));
+      }
+    }
+    // A NaN time would pass the ordering check below (every comparison
+    // with NaN is false), and any non-finite number only fails later, as a
+    // failed solve or a NaN cost.
+    if (!std::isfinite(t) || !std::isfinite(v)) {
       return support::parse_error(support::str_format(
-          "experiment line %zu: malformed number", line_number));
+          "experiment line %zu: non-finite number", line_number));
     }
     if (!data.times.empty() && t <= data.times.back()) {
       return support::parse_error(support::str_format(

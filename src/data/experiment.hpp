@@ -12,7 +12,8 @@
 //   ...
 //
 // Comment lines start with '#'; the "name:"/"property:" headers are
-// optional metadata.
+// optional metadata. Every record holds two finite numbers in strtod syntax,
+// and times increase strictly.
 #pragma once
 
 #include <string>

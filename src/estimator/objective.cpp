@@ -192,9 +192,15 @@ void ObjectiveFunction::release_scratch(SolveScratch& scratch) {
 void ObjectiveFunction::run_tasks(
     std::size_t count, const std::vector<double>& predicted,
     const std::function<void(std::size_t)>& body) {
-  // Longest-predicted-first task order: §4.4's priority queue as a list
-  // schedule. With the work-stealing pool this behaves like dynamic LPT
-  // (idle workers pull the longest remaining work); serially it is just a
+  // Longest-predicted-first task order: §4.4's priority queue as a list.
+  // The pool does not run it as dynamic LPT. parallel_for cuts the ordered
+  // list into at most 4 x participants static chunks of consecutive tasks
+  // (fit_tc3's 36 Jacobian column tasks on 4 participants: 16 chunks of 2-3
+  // tasks), hands each participant a contiguous range of chunks, and each
+  // drains its own range front to back; one that runs dry steals single
+  // chunks from the tail of another's range, where that range's shortest
+  // tasks are. So the order puts the longest tasks first within each
+  // participant's range, not first overall. Serially it is just a
   // permutation. Either way every task commits into its own slot, so the
   // execution order never shows in the results.
   task_order_.resize(count);

@@ -9,8 +9,9 @@
 // owned by the objective (or inline on the caller when pool_workers is 0).
 // evaluate() is one task per file; one Levenberg-Marquardt Jacobian
 // (evaluate_jacobian) is a flat pool of independent (FD column, file) solve
-// tasks. Tasks run longest-recorded-time-first (§4.4 LPT as a list
-// schedule) and commit into disjoint buffers that are reduced in file
+// tasks. Tasks are listed longest-recorded-time-first (§4.4 LPT as a list
+// schedule; the pool runs the list in static chunks, see run_tasks) and
+// commit into disjoint buffers that are reduced in file
 // order, so results are bit-identical for any worker count, and a failure
 // always reports the same file. Per-worker scratch (solver, VM registers,
 // rate buffers) makes the steady-state solve allocation-free. Every solve
@@ -140,7 +141,7 @@ class ObjectiveFunction {
 
   /// Batched forward-difference Jacobian (the nlopt::JacobianFunction
   /// contract): fills column j with (r(x + steps[j] e_j) - r) / steps[j],
-  /// scheduling all (column, file) solves as one flat LPT-ordered task pool
+  /// scheduling all (column, file) solves as one flat LPT-ordered task list
   /// over the persistent workers (serially without a pool — identical
   /// results either way). When the last evaluate() ran at this x and
   /// recorded a file's steps (every solve on the sparse-LU path does), that

@@ -67,6 +67,7 @@ support::Status AdamsGear::initialize(double t0, const std::vector<double>& y0) 
   history_.front().t = t0;
   history_.front().y = y0;
   if (output_ != nullptr) history_.front().output = output_->measure(y0);
+  ++history_serial_;
   stats_ = IntegrationStats{};
   order_ = 1;
   accepts_at_order_ = 0;
@@ -380,6 +381,10 @@ support::Status AdamsGear::step() {
     const int q = static_cast<int>(
         std::min<std::size_t>(history_.size(), static_cast<std::size_t>(order_)));
     const double t_new = t + h_;
+    if (!(t_new > t)) {
+      // h below the resolution of t: the BDF nodes would coincide.
+      return support::numeric_error("step size underflow");
+    }
 
     // BDF weights on [t_new, history...] for the first derivative at t_new.
     step_nodes_.resize(q + 1);
@@ -423,7 +428,7 @@ support::Status AdamsGear::step() {
     // order + 1 points when available: it then has the corrector's order,
     // so corrector - predictor estimates the local truncation term.
     const int predictor_points = interpolation_points();
-    interpolate(t_new, predictor_points, y_pred_);
+    predict(t_new, predictor_points, y_pred_);
     y_new_ = y_pred_;
     // Relax each Newton update against a stale factored d0 (the
     // matrix-free path factors nothing).
@@ -528,6 +533,7 @@ void AdamsGear::push_history(double t_new) {
   recycled.y.swap(y_new_);
   if (output_ != nullptr) recycled.output = output_->measure(recycled.y);
   history_.push_front(std::move(recycled));
+  ++history_serial_;
 }
 
 void AdamsGear::record_step(double t_new, int predictor_points,
@@ -577,7 +583,7 @@ support::Status AdamsGear::replay_step() {
   const double* weights = replay_->weights.data() + step.weights;
   step_d_.assign(weights, weights + step.weight_count);
 
-  interpolate(step.t, step.predictor_points, y_pred_);
+  predict(step.t, step.predictor_points, y_pred_);
   const float* update = replay_->updates.data() + replay_cursor_ * n;
   y_new_.resize(n);
   for (std::size_t j = 0; j < n; ++j) y_new_[j] = y_pred_[j] + update[j];
@@ -608,19 +614,36 @@ int AdamsGear::interpolation_points() const {
       history_.size(), static_cast<std::size_t>(order_) + 1));
 }
 
-void AdamsGear::interpolation_weights(double t, int points) {
+void AdamsGear::predict(double t, int points, std::vector<double>& y_out) {
   interp_nodes_.resize(points);
   for (int i = 0; i < points; ++i) interp_nodes_[i] = history_[i].t;
   fornberg_weights(t, interp_nodes_.data(), points, 0, interp_w_);
+  combine_history(interp_w_.data(), points, y_out);
 }
 
-void AdamsGear::interpolate(double t, int points, std::vector<double>& y_out) {
-  interpolation_weights(t, points);
+const double* AdamsGear::record_weights(double t, int points) {
+  if (record_basis_serial_ != history_serial_ ||
+      record_basis_.size() != points) {
+    RMS_CHECK(points <= LagrangeBasis::kMaxNodes);
+    std::array<double, LagrangeBasis::kMaxNodes> nodes;
+    for (int i = 0; i < points; ++i) {
+      nodes[i] = history_[i].t;
+      record_outputs_[i] = history_[i].output;
+    }
+    record_basis_.reset(nodes.data(), points);
+    record_basis_serial_ = history_serial_;
+  }
+  record_basis_.weights(t, record_w_.data());
+  return record_w_.data();
+}
+
+void AdamsGear::combine_history(const double* w, int points,
+                                std::vector<double>& y_out) const {
   const std::size_t n = system_.dimension;
   y_out.assign(n, 0.0);
   for (int i = 0; i < points; ++i) {
     const std::vector<double>& y = history_[i].y;
-    const double wi = interp_w_[i];
+    const double wi = w[i];
     for (std::size_t j = 0; j < n; ++j) y_out[j] += wi * y[j];
   }
 }
@@ -661,7 +684,8 @@ support::Status AdamsGear::advance_to(double t_target,
   if (history_.front().t == t_target) {
     y_out = history_.front().y;
   } else {
-    interpolate(t_target, interpolation_points(), y_out);
+    const int points = interpolation_points();
+    combine_history(record_weights(t_target, points), points, y_out);
   }
   return support::Status::ok();
 }
@@ -678,11 +702,9 @@ support::Status AdamsGear::advance_to_observed(double t_target,
     return support::Status::ok();
   }
   const int points = interpolation_points();
-  interpolation_weights(t_target, points);
+  const double* w = record_weights(t_target, points);
   value = 0.0;
-  for (int i = 0; i < points; ++i) {
-    value += interp_w_[i] * history_[i].output;
-  }
+  for (int i = 0; i < points; ++i) value += w[i] * record_outputs_[i];
   return support::Status::ok();
 }
 

@@ -46,19 +46,28 @@
 // an output installed (set_output), each history point also stores its
 // projection p_k = measure(y_k), computed once when the point enters the
 // history, and advance_to_observed interpolates those scalars with the
-// same Fornberg weights l_k(t) that interpolate the state:
+// same Lagrange weights l_k(t) that interpolate the state (advance_to):
 //     measure(sum_k l_k(t) y_k) = sum_k l_k(t) measure(y_k),
 // exact in real arithmetic (only the summation order differs), at O(order)
-// per record instead of O(n * order). Step control never reads the output,
-// so the trajectory is the same whichever call the caller uses.
+// per record instead of O(n * order). The weights come from a Lagrange
+// basis of the newest history nodes (LagrangeBasis) built once per history
+// change, an accepted or replayed step, an initialize() or a new point
+// count, so a record costs O(order) multiplications, no division and no
+// allocation. The predictor and the BDF weights stay on Fornberg's
+// algorithm. Step control never reads the output or the record weights, so
+// the trajectory is the same whichever call the caller uses and however
+// many records it reads.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <memory>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
+#include "solver/fornberg.hpp"
 #include "solver/ode.hpp"
 
 namespace rms::solver {
@@ -165,18 +174,32 @@ class AdamsGear final : public OdeSolver {
   /// History points interpolation runs through at the current order:
   /// min(history, order + 1).
   [[nodiscard]] int interpolation_points() const;
-  /// Fornberg weights at t over the newest `points` history points into
-  /// interp_w_.
-  void interpolation_weights(double t, int points);
-  /// State at t through the newest `points` history points: dense output
-  /// inside the newest step, and the predictor when t lies beyond it.
-  void interpolate(double t, int points, std::vector<double>& y_out);
+  /// The predictor: the state at t beyond the newest step, extrapolated
+  /// through the newest `points` history points with Fornberg weights.
+  void predict(double t, int points, std::vector<double>& y_out);
+  /// Lagrange weights at a record time t inside the newest step over the
+  /// newest `points` history points, from the basis cached for this
+  /// history (rebuilt when history_serial_ or `points` changed).
+  const double* record_weights(double t, int points);
+  /// y_out = sum_i w[i] * y of the i-th newest history point.
+  void combine_history(const double* w, int points,
+                       std::vector<double>& y_out) const;
 
   OdeSystem system_;
   IntegrationOptions options_;
   IntegrationStats stats_;
 
   std::deque<HistoryPoint> history_;  ///< newest first
+  /// Bumped whenever the history changes (initialize, accepted or replayed
+  /// step); with the point count it keys record_basis_.
+  std::uint64_t history_serial_ = 0;
+  /// Records inside the newest step: the basis of its nodes, the history
+  /// serial it was built at, the nodes' outputs p_k, and the weights of
+  /// the last record read.
+  LagrangeBasis record_basis_;
+  std::uint64_t record_basis_serial_ = 0;
+  std::array<double, LagrangeBasis::kMaxNodes> record_outputs_{};
+  std::array<double, LagrangeBasis::kMaxNodes> record_w_{};
   double h_ = 0.0;
   int order_ = 1;
   int accepts_at_order_ = 0;

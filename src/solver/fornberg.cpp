@@ -40,4 +40,33 @@ void fornberg_weights(double x0, const double* x, int n, int max_derivative,
   }
 }
 
+void LagrangeBasis::reset(const double* x, int n) {
+  RMS_CHECK(n >= 1 && n <= kMaxNodes);
+  n_ = n;
+  for (int k = 0; k < n; ++k) {
+    x_[k] = x[k];
+    double denominator = 1.0;
+    for (int j = 0; j < n; ++j) {
+      if (j != k) denominator *= x[k] - x[j];
+    }
+    RMS_CHECK_MSG(denominator != 0.0, "LagrangeBasis: duplicate nodes");
+    scale_[k] = 1.0 / denominator;
+  }
+}
+
+void LagrangeBasis::weights(double t, double* w) const {
+  // w[k] = beta_k * (prod_{j < k} (t - x_j)) * (prod_{j > k} (t - x_j)).
+  std::array<double, kMaxNodes> prefix;
+  double product = 1.0;
+  for (int k = 0; k < n_; ++k) {
+    prefix[k] = product;
+    product *= t - x_[k];
+  }
+  double suffix = 1.0;
+  for (int k = n_ - 1; k >= 0; --k) {
+    w[k] = scale_[k] * prefix[k] * suffix;
+    suffix *= t - x_[k];
+  }
+}
+
 }  // namespace rms::solver

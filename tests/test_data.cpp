@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "data/experiment.hpp"
 #include "data/synthetic.hpp"
@@ -51,6 +52,32 @@ TEST(ExperimentFormat, RejectsMalformedLines) {
 TEST(ExperimentFormat, RejectsNonIncreasingTimes) {
   EXPECT_FALSE(parse_experiment("0.0 1.0\n0.0 2.0\n").is_ok());
   EXPECT_FALSE(parse_experiment("1.0 1.0\n0.5 2.0\n").is_ok());
+}
+
+TEST(ExperimentFormat, RejectsNonFiniteRecords) {
+  // A NaN time compares false with everything, so the ordering check alone
+  // let both it and the next line through.
+  const std::pair<const char*, const char*> cases[] = {
+      {"0.0 1.0\nnan 2.0\n3.0 3.0\n", "line 2:"},
+      {"0.0 1.0\n1.0 2.0\ninf 3.0\n", "line 3:"},
+      {"0.0 1.0\n1.0 -inf\n2.0 3.0\n", "line 2:"},
+      {"# header\n0.0 NaN\n2.0 3.0\n", "line 2:"},
+      {"0.0 1.0\n1.0 1e999\n2.0 3.0\n", "line 2:"},
+      {"-1e400 3.0\n0.0 1.0\n", "line 1:"},
+      {"0x1p2 0x1p-3\n+nan 1.0\n", "line 2:"},
+  };
+  for (const auto& [text, line] : cases) {
+    auto parsed = parse_experiment(text);
+    ASSERT_FALSE(parsed.is_ok()) << text;
+    EXPECT_EQ(parsed.status().code(), support::StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find(line), std::string::npos)
+        << text << ": " << parsed.status().message();
+  }
+  // Finite extremes and the strtod-only syntaxes still parse.
+  auto parsed = parse_experiment("-1e-400 4.9e-324\n0x1p2 +1.5\n1e308 -0.0\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->times, (std::vector<double>{-0.0, 4.0, 1e308}));
+  EXPECT_EQ(parsed->values, (std::vector<double>{4.9e-324, 1.5, -0.0}));
 }
 
 TEST(ExperimentFile, WriteAndReadBack) {

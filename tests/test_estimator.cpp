@@ -47,16 +47,18 @@ struct TinyModel {
     observable.weighted_species = {{2, 1.0}};
   }
 
-  /// Synthesizes an experiment for a formulation with initial [A] = a0.
+  /// Synthesizes an experiment for a formulation with initial [A] = a0,
+  /// `records` records evenly spaced over [0, t_end].
   Experiment make_experiment(double a0, std::size_t records,
-                             double noise = 0.0, std::uint64_t seed = 1) {
+                             double noise = 0.0, std::uint64_t seed = 1,
+                             double t_end = 5.0) {
     vm::Interpreter interp(program);
     const std::vector<double> rates = true_rates;
     solver::OdeSystem system{3, [&](double t, const double* y, double* ydot) {
                                interp.run(t, y, rates.data(), ydot);
                              }};
     data::SyntheticOptions options;
-    options.t_end = 5.0;
+    options.t_end = t_end;
     options.record_count = records;
     options.noise_level = noise;
     options.noise_seed = seed;
@@ -164,12 +166,20 @@ TEST(Objective, PoolWorkersMatchSequential) {
 TEST(Objective, DynamicLoadBalancingUsesRecordedTimes) {
   TinyModel model;
   std::vector<Experiment> experiments;
-  // Files with very different sizes -> very different solve times.
-  experiments.push_back(model.make_experiment(1.0, 400));
-  experiments.push_back(model.make_experiment(1.0, 40));
-  experiments.push_back(model.make_experiment(1.0, 40));
-  experiments.push_back(model.make_experiment(1.0, 400));
+  // Files with very different horizons -> very different solve times. The
+  // step count sets a solve's time, not the record count (a record inside a
+  // step costs a few multiplications): a 100 s horizon takes five times the
+  // steps and Newton iterations of a 1 s one. The first call's times also
+  // carry each worker's one-off set-up, charged to whichever file it runs
+  // first; the tight tolerance makes every solve long enough for the heavy
+  // files to outweigh a light file plus that set-up.
+  experiments.push_back(model.make_experiment(1.0, 400, 0.0, 1, 100.0));
+  experiments.push_back(model.make_experiment(1.0, 40, 0.0, 1, 1.0));
+  experiments.push_back(model.make_experiment(1.0, 40, 0.0, 1, 1.0));
+  experiments.push_back(model.make_experiment(1.0, 400, 0.0, 1, 100.0));
   ObjectiveOptions options;
+  options.integration.relative_tolerance = 1e-10;
+  options.integration.absolute_tolerance = 1e-13;
   options.pool_workers = 2;
   options.dynamic_load_balancing = true;
   ObjectiveFunction objective(model.program, model.observable,

@@ -3,7 +3,14 @@
 // failures reproduce deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "chem/canonical.hpp"
 #include "chem/smiles.hpp"
@@ -91,6 +98,127 @@ TEST_P(FuzzSeeds, ExperimentParserNeverCrashes) {
   for (int trial = 0; trial < 400; ++trial) {
     (void)data::parse_experiment(random_text(rng, 200, alphabet));
   }
+}
+
+/// The record reader as it was before from_chars: every line split on
+/// whitespace, every field read by strtod. Returns false where it rejected
+/// the text.
+bool split_strtod_reader(const std::string& text, std::vector<double>& times,
+                         std::vector<double>& values) {
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  times.clear();
+  values.clear();
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(start, end - start);
+    start = end + 1;
+    std::vector<std::string> fields;
+    for (std::size_t i = 0; i < line.size();) {
+      while (i < line.size() && is_space(line[i])) ++i;
+      const std::size_t field = i;
+      while (i < line.size() && !is_space(line[i])) ++i;
+      if (i > field) fields.push_back(line.substr(field, i - field));
+    }
+    if (fields.empty() || fields[0][0] == '#') continue;
+    if (fields.size() != 2) return false;
+    double record[2];
+    for (int f = 0; f < 2; ++f) {
+      char* parsed_end = nullptr;
+      record[f] = std::strtod(fields[f].c_str(), &parsed_end);
+      if (parsed_end != fields[f].c_str() + fields[f].size()) return false;
+    }
+    if (!times.empty() && record[0] <= times.back()) return false;
+    times.push_back(record[0]);
+    values.push_back(record[1]);
+  }
+  return !times.empty();
+}
+
+/// One number-like field: mostly decimal and exponent syntax with long
+/// mantissas and out-of-range exponents, sometimes a soup of the tokens
+/// strtod treats specially.
+std::string random_number_field(support::Xoshiro256& rng) {
+  static const char* const kSoup[] = {"0", "1", "9", "-", "+", ".", "e",
+                                      "E", "0x", "inf", "nan", "p", "a"};
+  std::string out;
+  if (rng.below(4) == 0) {
+    const std::size_t tokens = 1 + rng.below(6);
+    for (std::size_t i = 0; i < tokens; ++i) out += kSoup[rng.below(13)];
+    return out;
+  }
+  if (rng.below(4) == 0) out += rng.below(2) == 0 ? "-" : "+";
+  if (rng.below(12) == 0) {
+    out += rng.below(2) == 0 ? "0x1.8p" : (rng.below(2) == 0 ? "inf" : "nan");
+    if (out.back() == 'p') out += std::to_string(rng.below(40));
+    return out;
+  }
+  const std::size_t int_digits = rng.below(22);
+  for (std::size_t i = 0; i < int_digits; ++i) out += char('0' + rng.below(10));
+  if (rng.below(2) == 0) {
+    out += '.';
+    const std::size_t frac_digits = rng.below(22);
+    for (std::size_t i = 0; i < frac_digits; ++i) {
+      out += char('0' + rng.below(10));
+    }
+  }
+  if (rng.below(3) == 0) {
+    out += rng.below(2) == 0 ? 'e' : 'E';
+    if (rng.below(2) == 0) out += rng.below(2) == 0 ? "-" : "+";
+    const std::size_t exp_digits = rng.below(4);
+    for (std::size_t i = 0; i < exp_digits; ++i) {
+      out += char('0' + rng.below(10));
+    }
+  }
+  return out;
+}
+
+TEST_P(FuzzSeeds, ExperimentReaderMatchesSplitStrtod) {
+  // Differential: the reader must take exactly the lines the split-and-
+  // strtod reader took, to the same bits, except the non-finite records it
+  // now rejects.
+  support::Xoshiro256 rng(GetParam() + 3500);
+  static const char* const kSpace[] = {" ", "\t", "  ", "\r", " \t"};
+  std::size_t accepted = 0;
+  std::vector<double> times;
+  std::vector<double> values;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text;
+    const std::size_t lines = 1 + rng.below(3);
+    for (std::size_t l = 0; l < lines; ++l) {
+      if (rng.below(3) == 0) text += kSpace[rng.below(5)];
+      text += random_number_field(rng);
+      if (rng.below(16) != 0) text += kSpace[rng.below(5)];
+      text += random_number_field(rng);
+      if (rng.below(3) == 0) text += kSpace[rng.below(5)];
+      text += '\n';
+    }
+    const bool reference = split_strtod_reader(text, times, values);
+    const bool finite =
+        std::all_of(times.begin(), times.end(),
+                    [](double t) { return std::isfinite(t); }) &&
+        std::all_of(values.begin(), values.end(),
+                    [](double v) { return std::isfinite(v); });
+    auto parsed = data::parse_experiment(text);
+    ASSERT_EQ(parsed.is_ok(), reference && finite)
+        << '"' << text << "\": " << parsed.status().to_string();
+    if (!parsed.is_ok()) continue;
+    ++accepted;
+    ASSERT_EQ(parsed->times.size(), times.size()) << text;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->times[i]),
+                std::bit_cast<std::uint64_t>(times[i]))
+          << '"' << text << '"';
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->values[i]),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << '"' << text << '"';
+    }
+  }
+  // Enough lines parse for the bitwise comparison to mean something.
+  EXPECT_GT(accepted, 300u);
 }
 
 TEST_P(FuzzSeeds, RandomMoleculeCanonicalInvariance) {

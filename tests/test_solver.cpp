@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "solver/adams_gear.hpp"
 #include "solver/fornberg.hpp"
 #include "solver/rk_verner.hpp"
+#include "support/rng.hpp"
 
 namespace rms::solver {
 namespace {
@@ -57,6 +60,55 @@ TEST(Fornberg, InterpolatesPolynomialExactly) {
   double value = 0.0;
   for (int i = 0; i < 4; ++i) value += w[i] * f(x[i]);
   EXPECT_NEAR(value, f(1.3), 1e-12);
+}
+
+TEST(LagrangeBasis, ReproducesPolynomialsAndMatchesFornberg) {
+  // Nodes as the solver's history holds them, newest first with step
+  // ratios in [0.1, 10], at scales from 1e-6 to 1e3 and offsets far from
+  // zero; t inside the newest interval [x_1, x_0]. Over 100 000 such node
+  // sets the worst errors were 3.2 ulps of sum |w_k| (weights) and 3.8 ulps
+  // of sum |w_k p(x_k)| (polynomials).
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  support::Xoshiro256 rng(15);
+  std::vector<double> fornberg;
+  for (int points = 1; points <= 6; ++points) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const double scale = std::pow(10.0, rng.uniform(-6.0, 3.0));
+      double x[6];
+      x[0] = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-3.0, 4.0));
+      for (int k = 1; k < points; ++k) {
+        x[k] = x[k - 1] - scale * rng.uniform(0.1, 10.0);
+      }
+      const double t = points == 1
+                           ? x[0] - scale * rng.uniform()
+                           : x[1] + (x[0] - x[1]) * rng.uniform();
+      LagrangeBasis basis;
+      basis.reset(x, points);
+      ASSERT_EQ(basis.size(), points);
+      double w[LagrangeBasis::kMaxNodes];
+      basis.weights(t, w);
+
+      fornberg_weights(t, x, points, 0, fornberg);
+      double magnitude = 0.0;
+      for (int k = 0; k < points; ++k) magnitude += std::fabs(fornberg[k]);
+      for (int k = 0; k < points; ++k) {
+        EXPECT_NEAR(w[k], fornberg[k], 6.0 * kEps * magnitude)
+            << points << " points, trial " << trial << ", node " << k;
+      }
+      // (s - x_0)^d / scale^d for every degree d < points.
+      for (int d = 0; d < points; ++d) {
+        auto p = [&](double s) { return std::pow((s - x[0]) / scale, d); };
+        double value = 0.0;
+        double bound = std::fabs(p(t));
+        for (int k = 0; k < points; ++k) {
+          value += w[k] * p(x[k]);
+          bound += std::fabs(w[k] * p(x[k]));
+        }
+        EXPECT_NEAR(value, p(t), 8.0 * kEps * bound)
+            << points << " points, trial " << trial << ", degree " << d;
+      }
+    }
+  }
 }
 
 OdeSystem exponential_decay(double lambda) {
@@ -610,6 +662,166 @@ TEST(AdamsGear, ObservedOutputRequiresAnInstalledOutput) {
   double value = 0.0;
   EXPECT_EQ(solver.advance_to_observed(0.5, value).code(),
             support::StatusCode::kFailedPrecondition);
+}
+
+/// An oscillator driven by a square wave of period 1: each switch of the
+/// forcing drops the order, which then climbs again. Constant CSR Jacobian.
+OdeSystem square_wave_oscillator() {
+  OdeSystem system;
+  system.dimension = 2;
+  system.rhs = [](double t, const double* y, double* ydot) {
+    ydot[0] = y[1];
+    ydot[1] = -y[0] + (std::fmod(t, 1.0) < 0.5 ? 1.0 : -1.0);
+  };
+  system.sparse_jacobian = [](double, const double*, linalg::CsrMatrix& out) {
+    out.rows = out.cols = 2;
+    out.row_offsets = {0, 1, 2};
+    out.col_indices = {1, 0};
+    out.values = {1.0, -1.0};
+  };
+  return system;
+}
+
+TEST(AdamsGear, RecordValuesDoNotDependOnWhichRecordsAreRead) {
+  // The record weights come from a basis cached per history; a solver that
+  // reads every record and a fresh one that reads every third must give the
+  // same bits at the records both read, across order changes, a re-
+  // initialize on the same solver and a replayed solve.
+  const std::size_t n = 2;
+  Observable position;
+  position.weighted_species = {{0, 1.0}};
+  std::vector<double> times;
+  for (int j = 0; j <= 300; ++j) times.push_back(8.0 * j / 300.0);
+  IntegrationOptions options;
+  options.newton_linear_solver = NewtonLinearSolver::kSparseLu;
+
+  struct Pass {
+    std::vector<double> observed;  ///< advance_to_observed per record read
+    std::vector<double> state;     ///< advance_to's position per record
+    IntegrationStats stats;
+    std::vector<int> orders;
+  };
+  // Reads records j with j % stride == 0: the observed output, then the
+  // state at the same time.
+  auto run = [&](AdamsGear& solver, const std::vector<double>& y0,
+                 std::size_t stride) {
+    Pass pass;
+    solver.set_output(&position);
+    EXPECT_TRUE(solver.initialize(0.0, y0).is_ok());
+    std::vector<double> y;
+    for (std::size_t j = 0; j < times.size(); j += stride) {
+      double value = 0.0;
+      support::Status status = solver.advance_to_observed(times[j], value);
+      EXPECT_TRUE(status.is_ok()) << status.to_string();
+      status = solver.advance_to(times[j], y);
+      EXPECT_TRUE(status.is_ok()) << status.to_string();
+      if (y.size() != n) break;
+      pass.observed.push_back(value);
+      pass.state.push_back(y[0]);
+      pass.orders.push_back(solver.current_order());
+    }
+    pass.stats = solver.stats();
+    return pass;
+  };
+  auto expect_same_records = [&](const Pass& every, const Pass& third) {
+    ASSERT_EQ(every.observed.size(), times.size());
+    ASSERT_EQ(third.observed.size(), (times.size() + 2) / 3);
+    expect_same_work(every.stats, third.stats);
+    for (std::size_t j = 0; j < times.size(); j += 3) {
+      EXPECT_EQ(every.observed[j], third.observed[j / 3]) << "record " << j;
+      EXPECT_EQ(every.state[j], third.state[j / 3]) << "record " << j;
+      EXPECT_EQ(every.observed[j], every.state[j]) << "record " << j;
+    }
+  };
+
+  const std::vector<double> y0 = {1.0, 0.0};
+  const std::vector<double> y0_other = {0.5, -0.25};
+
+  AdamsGear every(square_wave_oscillator(), options);
+  StepRecording recording;
+  every.set_step_recorder(&recording);
+  const Pass first = run(every, y0, 1);
+  every.set_step_recorder(nullptr);
+  {
+    AdamsGear third(square_wave_oscillator(), options);
+    expect_same_records(first, run(third, y0, 3));
+  }
+  // The order rises and falls between records.
+  const auto [lowest, highest] =
+      std::minmax_element(first.orders.begin(), first.orders.end());
+  EXPECT_GE(*highest - *lowest, 2);
+  EXPECT_TRUE(std::adjacent_find(first.orders.begin(), first.orders.end(),
+                                 std::greater<int>()) != first.orders.end());
+
+  // Re-initialized from another state on the same solver.
+  const Pass again = run(every, y0_other, 1);
+  EXPECT_NE(again.observed.back(), first.observed.back());
+  {
+    AdamsGear third(square_wave_oscillator(), options);
+    expect_same_records(again, run(third, y0_other, 3));
+  }
+
+  // Replaying the first solve's steps.
+  every.set_replay(&recording);
+  const Pass replayed = run(every, y0, 1);
+  EXPECT_EQ(replayed.stats.steps, first.stats.steps);
+  {
+    AdamsGear third(square_wave_oscillator(), options);
+    third.set_replay(&recording);
+    expect_same_records(replayed, run(third, y0, 3));
+  }
+}
+
+TEST(AdamsGear, RecordWeightsFollowAnOrderDropWithoutANewStep) {
+  // A step that fails after its error test dropped the order leaves the
+  // history as it was, but records inside the newest step are now read
+  // through fewer points: the record weights must follow the point count,
+  // not just the history.
+  auto poisoned = std::make_shared<bool>(false);
+  const OdeSystem system{1, [poisoned](double, const double* y, double* ydot) {
+                           // Poisoned, every step fails its error test.
+                           ydot[0] = *poisoned ? 1e200 : -y[0];
+                         }};
+  IntegrationOptions options;
+  options.min_step = 0.0;
+  Observable identity;
+  identity.weighted_species = {{0, 1.0}};
+  const double t_record = 4.0;
+
+  struct Outcome {
+    double first = 0.0;  ///< the value read at the first target
+    double t_newest = 0.0;
+    int order = 0;  ///< before the failed step
+    double record = 0.0;  ///< at t_record, after the failed step
+  };
+  auto run = [&](double first_target) {
+    Outcome out;
+    *poisoned = false;
+    AdamsGear solver(system, options);
+    solver.set_output(&identity);
+    EXPECT_TRUE(solver.initialize(0.0, {1.0}).is_ok());
+    EXPECT_TRUE(solver.advance_to_observed(first_target, out.first).is_ok());
+    out.t_newest = solver.current_time();
+    out.order = solver.current_order();
+    *poisoned = true;
+    double ignored = 0.0;
+    EXPECT_FALSE(
+        solver.advance_to_observed(2.0 * out.t_newest, ignored).is_ok());
+    EXPECT_EQ(solver.current_order(), 1);
+    EXPECT_EQ(solver.current_time(), out.t_newest);
+    EXPECT_TRUE(solver.advance_to_observed(t_record, out.record).is_ok());
+    return out;
+  };
+  // Reads the record first, so it holds weights for its order then.
+  const Outcome read = run(t_record);
+  ASSERT_LT(t_record, read.t_newest);
+  ASSERT_GE(read.order, 2);
+  // The same steps, landing on the newest history point: no record weights.
+  const Outcome fresh = run(read.t_newest);
+  EXPECT_EQ(fresh.t_newest, read.t_newest);
+  EXPECT_EQ(read.record, fresh.record);
+  // Linear interpolation now, not the higher-order one read before.
+  EXPECT_NE(read.record, read.first);
 }
 
 // Property sweep: for both solvers, tightening the tolerance by 100x per
