@@ -18,6 +18,7 @@
 #include "codegen/bytecode_emitter.hpp"
 #include "codegen/jacobian.hpp"
 #include "data/experiment.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/sparse.hpp"
 #include "models/test_cases.hpp"
 #include "opt/cse.hpp"
@@ -189,6 +190,39 @@ void BM_ParseExperiment(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * text.size());
 }
 BENCHMARK(BM_ParseExperiment)->Unit(benchmark::kMicrosecond);
+
+// One Levenberg-Marquardt Jacobian's linear algebra: factor the m x n J,
+// form Q^T r, and solve one damped trial on the n x n factor. (19200, 4)
+// is fit_arrhenius (6 files x 3200 records, 4 constants), (2400, 6) is
+// fit_tc3; each further trial costs only the O(n^3) solve.
+void BM_LevMarFactor(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  support::Xoshiro256 rng(42);
+  linalg::Matrix jacobian(m, n);
+  linalg::Vector r(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) jacobian(i, j) = rng.uniform(-1, 1);
+    r[i] = rng.uniform(-1, 1);
+  }
+  const linalg::Vector damping(n, 1.0);
+  linalg::DampedLeastSquares damped;
+  linalg::Vector dx;
+  for (auto _ : state) {
+    damped.factor(jacobian, r);
+    if (!damped.solve(1e-3, damping, dx)) {
+      state.SkipWithError("damped system rank deficient");
+      return;
+    }
+    benchmark::DoNotOptimize(dx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_LevMarFactor)
+    ->Args({19200, 4})
+    ->Args({19200, 8})
+    ->Args({2400, 6})
+    ->Unit(benchmark::kMicrosecond);
 
 /// Newton iteration matrix M = d0*I - J of TC3 at 5% scale (n = 1229) at its
 /// initial state, d0 = 100: the system the estimator factors hundreds of

@@ -1,8 +1,9 @@
 // Dense row-major matrix and vector helpers.
 //
-// Sized for the Newton systems inside the Adams-Gear solver and the normal
-// equations inside the bounded Levenberg-Marquardt optimizer: hundreds to a
-// few thousand unknowns, dense storage, partial-pivoting LU.
+// Sized for the Newton systems inside the Adams-Gear solver (hundreds to a
+// few thousand unknowns, dense storage, partial-pivoting LU) and the
+// Jacobians of the bounded Levenberg-Marquardt optimizer, which it factors
+// by QR (linalg/qr.hpp).
 #pragma once
 
 #include <cstddef>

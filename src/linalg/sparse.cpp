@@ -484,7 +484,12 @@ bool SparseLu::factor_with_pivoting(const CsrMatrix& a) {
   return true;
 }
 
-void SparseLu::solve(const Vector& b, Vector& x) const {
+// The triangular solves are the hottest loops of a sparse-LU fit (about 60%
+// of fit_tc3's CPU). Starting the function on a cache line keeps their
+// placement fixed when unrelated code linked before it changes size: a
+// shift of 48 bytes alone cost fit_tc3 3% of its run time on a Xeon.
+__attribute__((aligned(64))) void SparseLu::solve(const Vector& b,
+                                                   Vector& x) const {
   RMS_CHECK(ok_);
   RMS_CHECK(b.size() == n_);
   RMS_CHECK(&b != &x);

@@ -84,17 +84,27 @@ support::Expected<LevMarResult> bounded_least_squares(
   if (r.size() != m) {
     return support::invalid_argument("residual size mismatch");
   }
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!std::isfinite(r[i])) {
+      return support::numeric_error(support::str_format(
+          "residual %zu is not finite at the start point", i));
+    }
+  }
   result.cost = cost_of(r);
 
   Matrix jacobian(m, n);
   Vector r_pert(m);
+  Vector r_new(m);
   Vector gradient(n);
   // Marquardt column scaling: the damping acts on D dx rather than dx, so
   // parameters of wildly different magnitudes (rate prefactors ~1e7 next to
   // O(1) constants) take sensible steps. Scales only ever grow (MINPACK
   // convention), keeping the trust region stable.
   Vector scale(n, 0.0);
-  Vector j_dx(m);
+  // J = QR once per Jacobian; every trial solves on the n x n factor.
+  linalg::DampedLeastSquares damped;
+  Vector damping(n);
+  Vector dx;
   double lambda = options.initial_lambda;
   bool jacobian_valid = false;
 
@@ -127,12 +137,30 @@ support::Expected<LevMarResult> bounded_least_squares(
       }
       ++result.jacobian_evaluations;
       jacobian_valid = true;
-      for (std::size_t j = 0; j < n; ++j) {
-        double column_norm_sq = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-          column_norm_sq += jacobian(i, j) * jacobian(i, j);
+      // Column norms in one row-major pass; a non-finite entry ends the fit.
+      Vector column_norm_sq(n, 0.0);
+      for (std::size_t i = 0; i < m; ++i) {
+        const double* row = jacobian.row(i);
+        for (std::size_t j = 0; j < n; ++j) {
+          column_norm_sq[j] += row[j] * row[j];
         }
-        scale[j] = std::max(scale[j], std::sqrt(column_norm_sq));
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!std::isfinite(column_norm_sq[j])) {
+          for (std::size_t i = 0; i < m; ++i) {
+            if (!std::isfinite(jacobian(i, j))) {
+              return support::numeric_error(support::str_format(
+                  "Jacobian column %zu is not finite (row %zu)", j, i));
+            }
+          }
+        }
+        scale[j] = std::max(scale[j], std::sqrt(column_norm_sq[j]));
+      }
+      // A rank-deficient J (a parameter the data do not see) still
+      // factors; the damped system has full rank for lambda > 0.
+      damped.factor(jacobian, r);
+      for (std::size_t j = 0; j < n; ++j) {
+        damping[j] = scale[j] > 0.0 ? scale[j] : 1.0;
       }
     }
 
@@ -160,24 +188,11 @@ support::Expected<LevMarResult> bounded_least_squares(
       break;
     }
 
-    // Damped step: minimize ||[J; sqrt(lambda) I] dx + [r; 0]||.
+    // Damped step: minimize ||J dx + r||^2 + lambda ||D dx||^2.
     bool step_accepted = false;
     Status trial_error = Status::ok();
     while (lambda <= options.max_lambda) {
-      Matrix stacked(m + n, n);
-      for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) stacked(i, j) = jacobian(i, j);
-      }
-      const double sqrt_lambda = std::sqrt(lambda);
-      for (std::size_t j = 0; j < n; ++j) {
-        stacked(m + j, j) =
-            sqrt_lambda * (scale[j] > 0.0 ? scale[j] : 1.0);
-      }
-      Vector rhs(m + n, 0.0);
-      for (std::size_t i = 0; i < m; ++i) rhs[i] = -r[i];
-
-      Vector dx;
-      if (!linalg::solve_least_squares(stacked, rhs, dx)) {
+      if (!damped.solve(lambda, damping, dx)) {
         lambda *= options.lambda_grow;
         continue;
       }
@@ -186,18 +201,12 @@ support::Expected<LevMarResult> bounded_least_squares(
       for (std::size_t j = 0; j < n; ++j) x_new[j] += dx[j];
       clamp_to_bounds(x_new, lower, upper);
 
-      // Reduction the Gauss-Newton model predicts for the damped step:
-      // 0.5 ||r||^2 - 0.5 ||r + J dx||^2.
-      jacobian.multiply(dx, j_dx);
-      double predicted_reduction = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        predicted_reduction -= r[i] * j_dx[i] + 0.5 * j_dx[i] * j_dx[i];
-      }
+      // Reduction the Gauss-Newton model predicts for the damped step.
+      const double predicted_reduction = damped.model_reduction(dx);
 
       // A trial point whose residuals fail (e.g. a stiff solve that cannot
       // finish there) is a rejected step, like a non-finite cost: a shorter
       // step may stay where the model still solves.
-      Vector r_new(m);
       const Status trial = residuals(x_new, r_new);
       ++result.residual_evaluations;
       if (!trial.is_ok()) trial_error = trial;
@@ -224,7 +233,7 @@ support::Expected<LevMarResult> bounded_least_squares(
           x_norm += x_new[j] * x_new[j];
         }
         result.x = std::move(x_new);
-        r = std::move(r_new);
+        r.swap(r_new);
         result.cost = new_cost;
         lambda = std::max(lambda * options.lambda_shrink, 1e-12);
         jacobian_valid = false;

@@ -2,13 +2,18 @@
 // imsl_f_bounded_least_squares).
 //
 // A modified Levenberg-Marquardt method [Levenberg 1944, Marquardt 1963]
-// with simple variable bounds: each damped step solves the stacked system
-//   [ J; sqrt(lambda) I ] dx = [ -r; 0 ]
-// by Householder QR, the candidate is projected onto the box (the active-set
-// treatment of binding bounds), and lambda adapts on accept/reject. The
-// Jacobian is forward-difference with bound-aware perturbations. This is
-// the estimator the Parallel Parameter Estimator wraps around the ODE
-// solver to fit kinetic rate constants to experimental data (paper §4.2).
+// with simple variable bounds: each damped step minimizes
+//   ||J dx + r||^2 + lambda ||D dx||^2   (D: Marquardt column scales),
+// the candidate is projected onto the box (the active-set treatment of
+// binding bounds), and lambda adapts on accept/reject. As in MINPACK's
+// lmder [More 1978], each Jacobian is factored once, J = QR, keeping the
+// n x n R and the first n entries of Q^T r; every lambda trial then solves
+// the 2n x n system [R; sqrt(lambda) D] dx = [-Q^T r; 0] and predicts its
+// reduction from R dx, in O(n^3) with no pass over the m residuals
+// (linalg::DampedLeastSquares). The Jacobian is forward-difference with
+// bound-aware perturbations. This is the estimator the Parallel Parameter
+// Estimator wraps around the ODE solver to fit kinetic rate constants to
+// experimental data (paper §4.2).
 #pragma once
 
 #include <functional>
@@ -70,9 +75,11 @@ struct LevMarResult {
 /// Minimizes 0.5*||r(x)||^2 subject to lower <= x <= upper.
 /// `residual_size` is the length of r. x0 must lie inside the bounds
 /// (it is clamped if not). A residual error at x0 or in the Jacobian ends
-/// the fit with that error; one at a trial point rejects the step and
-/// grows lambda, and if lambda then passes max_lambda the result's message
-/// names the last trial error.
+/// the fit with that error, and so does a non-finite residual at x0 or a
+/// non-finite Jacobian entry (a numeric error naming the residual index or
+/// the column). An error or a non-finite cost at a trial point rejects the
+/// step and grows lambda, and if lambda then passes max_lambda the result's
+/// message names the last trial error.
 support::Expected<LevMarResult> bounded_least_squares(
     const ResidualFunction& residuals, std::size_t residual_size,
     linalg::Vector x0, const linalg::Vector& lower, const linalg::Vector& upper,

@@ -2,10 +2,10 @@
 //
 // The interpreter itself is immutable after construction: run() is const
 // and writes only to a Scratch register buffer, so one Interpreter (and the
-// Program it points to) can be shared freely across MiniMpi ranks and
-// estimator threads. Callers that care about the last nanosecond pass their
-// own Scratch; the convenience overloads fall back to a thread_local one,
-// which keeps the historical call sites both valid and data-race free.
+// Program it points to) can be shared freely across estimator threads.
+// Callers that care about the last nanosecond pass their own Scratch; the
+// convenience overloads fall back to a thread_local one, which keeps the
+// historical call sites both valid and data-race free.
 //
 // Dispatch is threaded (computed goto) on GCC/Clang with a portable switch
 // fallback, and run_batch() evaluates n independent inputs in one pass over

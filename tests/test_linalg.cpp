@@ -188,6 +188,68 @@ TEST(Qr, DetectsRankDeficiency) {
   EXPECT_FALSE(qr.factor(a));
 }
 
+TEST(Qr, DampedSolveFromFactorMatchesStackedSolve) {
+  // The Levenberg-Marquardt trial step from R and Q^T r must match the
+  // direct QR solve of the stacked (m + n) x n system [J; sqrt(lambda) D].
+  for (const std::size_t m : {8, 200, 19200}) {
+    for (const std::size_t n : {1, 4, 13}) {
+      if (n > m) continue;
+      const Matrix j = random_matrix(m, n, 31 * m + n);
+      const Vector r = random_vector(m, 7 * m + n);
+      Vector d = random_vector(n, m + 3 * n);
+      for (double& v : d) v = 0.5 + std::fabs(v);
+      DampedLeastSquares damped;
+      damped.factor(j, r);
+      for (const double lambda : {1e-12, 1e-3, 1e6}) {
+        Matrix stacked(m + n, n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t c = 0; c < n; ++c) stacked(i, c) = j(i, c);
+        }
+        for (std::size_t c = 0; c < n; ++c) {
+          stacked(m + c, c) = std::sqrt(lambda) * d[c];
+        }
+        Vector rhs(m + n, 0.0);
+        for (std::size_t i = 0; i < m; ++i) rhs[i] = -r[i];
+        Vector expected;
+        ASSERT_TRUE(solve_least_squares(stacked, rhs, expected));
+
+        Vector dx;
+        ASSERT_TRUE(damped.solve(lambda, d, dx));
+        Vector diff(n);
+        for (std::size_t c = 0; c < n; ++c) diff[c] = dx[c] - expected[c];
+        EXPECT_LE(norm2(diff), 1e-10 * norm2(expected))
+            << "m " << m << " n " << n << " lambda " << lambda;
+
+        // The model reduction from R and Q^T r matches the m-length form.
+        Vector j_dx;
+        j.multiply(dx, j_dx);
+        double reduction = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+          reduction -= r[i] * j_dx[i] + 0.5 * j_dx[i] * j_dx[i];
+        }
+        EXPECT_NEAR(damped.model_reduction(dx), reduction,
+                    1e-10 * std::fabs(reduction));
+      }
+    }
+  }
+}
+
+TEST(Qr, DampedSolveHandlesZeroColumn) {
+  // A zero column (a parameter the data do not see) leaves J rank
+  // deficient, but [R; sqrt(lambda) D] is full rank for lambda > 0, and
+  // the step leaves that parameter alone.
+  Matrix j = random_matrix(20, 3, 11);
+  for (std::size_t i = 0; i < 20; ++i) j(i, 1) = 0.0;
+  QrFactorization qr;
+  EXPECT_FALSE(qr.factor(j));
+  DampedLeastSquares damped;
+  damped.factor(j, random_vector(20, 12));
+  Vector dx;
+  ASSERT_TRUE(damped.solve(1e-3, {1.0, 1.0, 1.0}, dx));
+  EXPECT_TRUE(std::isfinite(dx[0]) && std::isfinite(dx[2]));
+  EXPECT_NEAR(dx[1], 0.0, 1e-15);
+}
+
 class QrProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(QrProperty, RecoversExactSolutionOfConsistentSystem) {

@@ -177,6 +177,70 @@ TEST(LevMar, PropagatesResidualError) {
   EXPECT_EQ(result.status().code(), support::StatusCode::kNumericError);
 }
 
+TEST(LevMar, NonFiniteStartResidualIsAnError) {
+  // r_1 = sqrt(x_1 - 2) is NaN at x0 = (0, 0): not a converged fit.
+  auto residuals = [](const Vector& x, Vector& r) -> Status {
+    r = {x[0] - 1.0, std::sqrt(x[1] - 2.0)};
+    return Status::ok();
+  };
+  Vector lower = {-10, -10};
+  Vector upper = {10, 10};
+  auto result = bounded_least_squares(residuals, 2, {0.0, 0.0}, lower, upper);
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), support::StatusCode::kNumericError);
+  EXPECT_NE(result.status().to_string().find("residual 1"), std::string::npos)
+      << result.status().to_string();
+}
+
+TEST(LevMar, NonFiniteJacobianColumnIsAnError) {
+  // The start point is finite, but any step up in x_1 gives a NaN
+  // residual, so the forward-difference column 1 is NaN. The fit stops
+  // there instead of growing lambda over failed steps.
+  std::size_t calls = 0;
+  auto residuals = [&calls](const Vector& x, Vector& r) -> Status {
+    ++calls;
+    r = {x[0] - 1.0, x[1] > 0.0 ? std::nan("") : x[0] + x[1] - 0.5};
+    return Status::ok();
+  };
+  Vector lower = {-10, -10};
+  Vector upper = {10, 10};
+  auto result = bounded_least_squares(residuals, 2, {0.0, 0.0}, lower, upper);
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), support::StatusCode::kNumericError);
+  EXPECT_NE(result.status().to_string().find("column 1"), std::string::npos)
+      << result.status().to_string();
+  EXPECT_EQ(calls, 3u);  // x0 and the two columns; no trial point
+}
+
+TEST(LevMar, ParameterWithoutEffectStaysPut) {
+  // y = a exp(-b t) with a third parameter the residual ignores: its
+  // Jacobian column is zero, J is rank deficient, and the fit still
+  // converges with that parameter where it started.
+  std::vector<double> ts;
+  std::vector<double> ys;
+  for (int i = 0; i <= 20; ++i) {
+    const double t = 0.1 * i;
+    ts.push_back(t);
+    ys.push_back(2.5 * std::exp(-1.3 * t));
+  }
+  auto residuals = [&](const Vector& x, Vector& r) -> Status {
+    r.resize(ts.size());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      r[i] = x[0] * std::exp(-x[2] * ts[i]) - ys[i];
+    }
+    return Status::ok();
+  };
+  Vector lower = {0, -5, 0};
+  Vector upper = {10, 5, 10};
+  auto result = bounded_least_squares(residuals, ts.size(), {1.0, 0.3, 0.5},
+                                      lower, upper);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_TRUE(result->converged) << result->message;
+  EXPECT_NEAR(result->x[0], 2.5, 1e-5);
+  EXPECT_NEAR(result->x[2], 1.3, 1e-5);
+  EXPECT_NEAR(result->x[1], 0.3, 1e-12);
+}
+
 TEST(LevMar, FailedTrialPointGrowsLambda) {
   // r(x) = x^2 - 4 from x = 0.5: the first, nearly undamped Gauss-Newton
   // step lands near x = 4.25, where the residual fails (a model that cannot

@@ -1,149 +1,15 @@
-// Tests for the parallel runtime: MiniMpi collectives, block/LPT schedules
-// (the paper's §4.4 dynamic load balancer), and the SimCluster replay model.
+// Tests for the parallel runtime: block/LPT schedules (the paper's §4.4
+// dynamic load balancer) and the SimCluster replay model.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 
-#include "parallel/minimpi.hpp"
 #include "parallel/schedule.hpp"
 #include "parallel/sim_cluster.hpp"
 #include "support/rng.hpp"
 
 namespace rms::parallel {
 namespace {
-
-TEST(MiniMpi, RankAndSize) {
-  std::atomic<int> rank_sum{0};
-  run_parallel(4, [&](Communicator& comm) {
-    EXPECT_EQ(comm.size(), 4);
-    rank_sum += comm.rank();
-  });
-  EXPECT_EQ(rank_sum.load(), 0 + 1 + 2 + 3);
-}
-
-TEST(MiniMpi, AllReduceSumVector) {
-  run_parallel(4, [&](Communicator& comm) {
-    std::vector<double> v = {static_cast<double>(comm.rank()), 1.0};
-    comm.all_reduce_sum(v);
-    EXPECT_DOUBLE_EQ(v[0], 6.0);  // 0+1+2+3
-    EXPECT_DOUBLE_EQ(v[1], 4.0);
-  });
-}
-
-TEST(MiniMpi, AllReduceScalarRepeated) {
-  // Successive collectives must not interfere.
-  run_parallel(3, [&](Communicator& comm) {
-    for (int round = 1; round <= 10; ++round) {
-      const double sum = comm.all_reduce_sum(static_cast<double>(round));
-      EXPECT_DOUBLE_EQ(sum, 3.0 * round);
-    }
-  });
-}
-
-TEST(MiniMpi, AllReduceMax) {
-  run_parallel(4, [&](Communicator& comm) {
-    std::vector<double> v = {static_cast<double>(comm.rank())};
-    comm.all_reduce_max(v);
-    EXPECT_DOUBLE_EQ(v[0], 3.0);
-  });
-}
-
-TEST(MiniMpi, Broadcast) {
-  run_parallel(4, [&](Communicator& comm) {
-    std::vector<double> v;
-    if (comm.rank() == 2) v = {7.0, 8.0};
-    comm.broadcast(v, 2);
-    ASSERT_EQ(v.size(), 2u);
-    EXPECT_DOUBLE_EQ(v[0], 7.0);
-  });
-}
-
-TEST(MiniMpi, PointToPointRing) {
-  run_parallel(4, [&](Communicator& comm) {
-    const int next = (comm.rank() + 1) % comm.size();
-    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
-    comm.send(next, 0, {static_cast<double>(comm.rank())});
-    std::vector<double> got = comm.recv(prev, 0);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_DOUBLE_EQ(got[0], static_cast<double>(prev));
-  });
-}
-
-TEST(MiniMpi, BarrierOrdersPhases) {
-  std::atomic<int> phase_one{0};
-  std::atomic<bool> violated{false};
-  run_parallel(4, [&](Communicator& comm) {
-    ++phase_one;
-    comm.barrier();
-    if (phase_one.load() != 4) violated = true;
-  });
-  EXPECT_FALSE(violated.load());
-}
-
-TEST(MiniMpi, SingleRankDegenerate) {
-  run_parallel(1, [&](Communicator& comm) {
-    EXPECT_EQ(comm.size(), 1);
-    std::vector<double> v = {5.0};
-    comm.all_reduce_sum(v);
-    EXPECT_DOUBLE_EQ(v[0], 5.0);
-  });
-}
-
-TEST(MiniMpi, StressManyRanksMixedCollectives) {
-  // Randomized sequences of mixed collectives across 8 ranks: every rank
-  // must observe identical reduction results in every round. Exercises the
-  // generation bookkeeping of back-to-back collectives.
-  const int ranks = 8;
-  const int rounds = 40;
-  std::vector<std::vector<double>> sums(ranks);
-  run_parallel(ranks, [&](Communicator& comm) {
-    support::Xoshiro256 rng(99);  // same stream on every rank
-    for (int round = 0; round < rounds; ++round) {
-      const int which = static_cast<int>(rng.below(3));
-      if (which == 0) {
-        std::vector<double> v(3, static_cast<double>(comm.rank() + round));
-        comm.all_reduce_sum(v);
-        sums[comm.rank()].push_back(v[0]);
-      } else if (which == 1) {
-        std::vector<double> v = {static_cast<double>(comm.rank())};
-        comm.all_reduce_max(v);
-        sums[comm.rank()].push_back(v[0]);
-      } else {
-        comm.barrier();
-        sums[comm.rank()].push_back(-1.0);
-      }
-    }
-  });
-  for (int r = 1; r < ranks; ++r) {
-    EXPECT_EQ(sums[r], sums[0]) << "rank " << r << " diverged";
-  }
-}
-
-TEST(MiniMpi, PointToPointManyMessages) {
-  // Rank 0 fans out 50 tagged messages per peer; peers echo them back.
-  run_parallel(4, [&](Communicator& comm) {
-    if (comm.rank() == 0) {
-      for (int peer = 1; peer < comm.size(); ++peer) {
-        for (int m = 0; m < 50; ++m) {
-          comm.send(peer, m, {static_cast<double>(peer * 1000 + m)});
-        }
-      }
-      for (int peer = 1; peer < comm.size(); ++peer) {
-        for (int m = 0; m < 50; ++m) {
-          auto echoed = comm.recv(peer, m);
-          ASSERT_EQ(echoed.size(), 1u);
-          EXPECT_DOUBLE_EQ(echoed[0], peer * 1000 + m + 0.5);
-        }
-      }
-    } else {
-      for (int m = 0; m < 50; ++m) {
-        auto got = comm.recv(0, m);
-        comm.send(0, m, {got[0] + 0.5});
-      }
-    }
-  });
-}
 
 TEST(Schedule, BlockDistributionCoversAllTasks) {
   const Assignment a = block_schedule(16, 4);

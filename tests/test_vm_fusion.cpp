@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "codegen/bytecode_emitter.hpp"
 #include "expr/product.hpp"
 #include "odegen/equation_table.hpp"
 #include "opt/pipeline.hpp"
-#include "parallel/minimpi.hpp"
 #include "support/rng.hpp"
 #include "vm/fuse.hpp"
 #include "vm/interpreter.hpp"
@@ -343,9 +343,9 @@ TEST(Batch, MatchesScalarRuns) {
 
 TEST(Reentrancy, OneInterpreterSharedAcrossRanks) {
   // The seed interpreter owned a mutable register file, so sharing one
-  // instance across MiniMpi ranks was a data race. run() is now const with
-  // per-thread scratch: many ranks hammering one Interpreter must produce
-  // exactly the sequential results.
+  // instance across ranks (threads) was a data race. run() is now const
+  // with per-thread scratch: many ranks hammering one Interpreter must
+  // produce exactly the sequential results.
   // Square system: 6 outputs per evaluation.
   odegen::EquationTable table = random_table(55, 6, 6, 3);
   Program program =
@@ -368,16 +368,19 @@ TEST(Reentrancy, OneInterpreterSharedAcrossRanks) {
   }
 
   std::vector<int> mismatches(ranks, 0);
-  parallel::run_parallel(ranks, [&](parallel::Communicator& comm) {
-    const int r = comm.rank();
-    std::vector<double> out(6);
-    for (int e = 0; e < evals_per_rank; ++e) {
-      shared.run(0.0, inputs[r].data(), k.data(), out.data());
-      for (std::size_t i = 0; i < 6; ++i) {
-        if (out[i] != expected[r][i]) ++mismatches[r];
+  std::vector<std::thread> threads;
+  for (int r = 0; r < ranks; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<double> out(6);
+      for (int e = 0; e < evals_per_rank; ++e) {
+        shared.run(0.0, inputs[r].data(), k.data(), out.data());
+        for (std::size_t i = 0; i < 6; ++i) {
+          if (out[i] != expected[r][i]) ++mismatches[r];
+        }
       }
-    }
-  });
+    });
+  }
+  for (std::thread& t : threads) t.join();
   for (int r = 0; r < ranks; ++r) EXPECT_EQ(mismatches[r], 0) << r;
 }
 
